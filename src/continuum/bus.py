@@ -13,7 +13,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable
 
 log = logging.getLogger("continuum.bus")
 
@@ -60,6 +60,37 @@ def topic_matches(filt: str, topic: str) -> bool:
     return len(tlevels) == len(flevels)
 
 
+class RouteTable:
+    """Topic filters by target, in subscription order, behind a lazily filled route cache.
+
+    `route(topic)` lists each target with a matching filter once, in order of its
+    first matching subscription. A topic's first route scans every filter with
+    `topic_matches`; any subscribe or unsubscribe clears the whole cache, so it
+    holds at most one entry per distinct topic routed since the last subscription
+    change. Not thread-safe: callers hold their own lock.
+    """
+
+    def __init__(self) -> None:
+        self._filters: list[tuple[str, Hashable]] = []  # (filter, target), subscription order
+        self._routes: dict[str, list[Hashable]] = {}
+
+    def add(self, target: Hashable, filt: str) -> None:
+        self._filters.append((filt, target))
+        self._routes.clear()
+
+    def remove(self, target: Hashable) -> None:
+        """Drop every filter of `target`."""
+        self._filters = [(f, t) for f, t in self._filters if t != target]
+        self._routes.clear()
+
+    def route(self, topic: str) -> list[Hashable]:
+        targets = self._routes.get(topic)
+        if targets is None:
+            targets = list(dict.fromkeys(t for f, t in self._filters if topic_matches(f, topic)))
+            self._routes[topic] = targets
+        return targets
+
+
 def validate_node_id(node: str) -> str:
     """Node ids carry their continuum layer: 'edge:cam1', 'fog:worker-0', 'cloud:server'."""
     layer, sep, name = node.partition(":")
@@ -68,10 +99,6 @@ def validate_node_id(node: str) -> str:
             f"node id {node!r} must be '<layer>:<name>' with layer one of {NODE_LAYERS}"
         )
     return node
-
-
-def node_layer(node: str) -> str:
-    return node.partition(":")[0]
 
 
 @dataclass(frozen=True)
@@ -148,7 +175,8 @@ class SimBroker:
         self.clock = SimClock()
         self.latency = latency if latency is not None else LinkLatency()
         self.max_events = max_events
-        self._subs: dict[int, tuple[str, str, Handler]] = {}  # sub_id -> (node, filter, handler)
+        self._subs: dict[int, tuple[str, Handler]] = {}  # sub_id -> (node, handler)
+        self._routes = RouteTable()  # of sub_ids
         self._sub_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
         self._running = True
@@ -177,11 +205,13 @@ class SimBroker:
         validate_node_id(node)
         validate_filter(filt)
         sub_id = next(self._sub_ids)
-        self._subs[sub_id] = (node, filt, handler)
+        self._subs[sub_id] = (node, handler)
+        self._routes.add(sub_id, filt)
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
         self._subs.pop(sub_id, None)
+        self._routes.remove(sub_id)
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int:
         self._require_running()
@@ -191,10 +221,9 @@ class SimBroker:
             raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
         env = Envelope(next(self._msg_ids), topic, bytes(payload), self.clock.now, sender)
         self.published.append(env)
-        for sub_id, (node, filt, _handler) in list(self._subs.items()):
-            if topic_matches(filt, topic):
-                due = self.clock.now + self.latency.between(sender, node)
-                self.clock.call_at(due, lambda s=sub_id, e=env: self._deliver(s, e))
+        for sub_id in self._routes.route(topic):
+            due = self.clock.now + self.latency.between(sender, self._subs[sub_id][0])
+            self.clock.call_at(due, lambda s=sub_id, e=env: self._deliver(s, e))
         return env.msg_id
 
     def _deliver(self, sub_id: int, env: Envelope) -> None:
@@ -203,7 +232,7 @@ class SimBroker:
             return
         self.delivery_trace.append((self.clock.now, env.topic, env.msg_id))
         log.debug("deliver t=%.3f topic=%s msg=%d -> %s", self.clock.now, env.topic, env.msg_id, entry[0])
-        entry[2](env)
+        entry[1](env)
 
     def run_until_idle(self) -> float:
         """Process events in (due, seq) order until none remain.

@@ -150,13 +150,18 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f",{int(y)}\n")
 
 
-def partition_plan(n: int, num_parts: int, seed: int) -> PartitionPlan:
-    """Seeded uniform shuffle dealt round-robin; sizes differ by at most one."""
+def _permutation(n: int, num_parts: int, seed: int) -> np.ndarray:
+    """The seeded shuffle both partition functions deal from, after checking `num_parts`."""
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     if num_parts > n:
         raise ValueError(f"cannot split {n} samples into {num_parts} parts")
-    perm = np.random.default_rng(seed).permutation(n)
+    return np.random.default_rng(seed).permutation(n)
+
+
+def partition_plan(n: int, num_parts: int, seed: int) -> PartitionPlan:
+    """Seeded uniform shuffle dealt round-robin; sizes differ by at most one."""
+    perm = _permutation(n, num_parts, seed)
     assignment = np.empty(n, dtype=np.int64)
     for part in range(num_parts):
         assignment[perm[part::num_parts]] = part
@@ -165,8 +170,7 @@ def partition_plan(n: int, num_parts: int, seed: int) -> PartitionPlan:
 
 def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
     """Split into disjoint covering parts; samples keep shuffled order within a part."""
-    plan = partition_plan(len(dataset), num_parts, seed)
-    perm = np.random.default_rng(seed).permutation(len(dataset))
+    perm = _permutation(len(dataset), num_parts, seed)
     parts = []
     for k in range(num_parts):
         idx = perm[k::num_parts]

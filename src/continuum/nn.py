@@ -16,11 +16,14 @@ HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows.
+    # min(z, -z) is -|z|, but keeps the sign of a NaN z (np.minimum returns the first NaN).
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

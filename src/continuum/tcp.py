@@ -23,7 +23,7 @@ from .bus import (
     MAX_FRAME_BYTES,
     Envelope,
     Handler,
-    topic_matches,
+    RouteTable,
     validate_filter,
     validate_node_id,
     validate_topic,
@@ -72,7 +72,7 @@ class TcpBrokerServer:
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()
         self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
-        self._subs: list[tuple[int, str]] = []  # (conn_id, filter), insertion order
+        self._routes = RouteTable()  # of conn_ids; guarded by _lock
         self._next_conn = 0
         self._next_msg = 0
         self._next_sub = 0
@@ -108,7 +108,7 @@ class TcpBrokerServer:
         finally:
             with self._lock:
                 self._conns.pop(conn_id, None)
-                self._subs = [(c, f) for c, f in self._subs if c != conn_id]
+                self._routes.remove(conn_id)
             conn.close()
 
     def _handle(self, conn_id: int, frame: dict) -> None:
@@ -117,7 +117,7 @@ class TcpBrokerServer:
             with self._lock:
                 self._next_sub += 1
                 sub_id = self._next_sub
-                self._subs.append((conn_id, frame["topic"]))
+                self._routes.add(conn_id, frame["topic"])
                 entry = self._conns.get(conn_id)
             if entry is not None:
                 self._ack(entry, sub_id)
@@ -144,15 +144,8 @@ class TcpBrokerServer:
             if frame is None:
                 return
             with self._lock:
-                targets = []
-                seen = set()
-                for conn_id, filt in self._subs:
-                    if conn_id not in seen and topic_matches(filt, frame["topic"]):
-                        seen.add(conn_id)
-                        entry = self._conns.get(conn_id)
-                        if entry is not None:
-                            targets.append(entry)
-            for entry in targets:
+                targets = [self._conns.get(c) for c in self._routes.route(frame["topic"])]
+            for entry in filter(None, targets):
                 sock, lock = entry
                 try:
                     _send_frame(sock, lock, frame)
@@ -185,18 +178,19 @@ class TcpBrokerServer:
 class _NodeConnection:
     """One node's connection: serialized local dispatch, FIFO publish acks."""
 
-    def __init__(self, host: str, port: int, node: str):
+    def __init__(self, host: str, port: int, node: str, published: list[Envelope]):
         self.node = node
+        self._published = published
         self._sock = socket.create_connection((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
         self._call_lock = threading.Lock()  # serializes frame-send + ack-wait pairs
         self._acks: queue.Queue = queue.Queue()
         self._incoming: queue.Queue = queue.Queue()
-        self._subs: list[tuple[int, str, Handler]] = []
+        self._handlers: dict[int, Handler] = {}
+        self._routes = RouteTable()  # of local ids; guarded by _subs_lock
         self._subs_lock = threading.Lock()
         self._next_local_sub = 0
-        self._closed = False
         threading.Thread(target=self._reader_loop, daemon=True).start()
         threading.Thread(target=self._dispatch_loop, daemon=True).start()
 
@@ -228,45 +222,52 @@ class _NodeConnection:
                 sender=frame["sender"],
             )
             with self._subs_lock:
-                handlers = [h for _id, filt, h in self._subs if topic_matches(filt, env.topic)]
+                handlers = [self._handlers[i] for i in self._routes.route(env.topic)]
             for handler in handlers:
                 handler(env)
 
     def _call(self, frame: dict) -> int:
-        with self._call_lock:
-            _send_frame(self._sock, self._write_lock, frame)
-            try:
-                return self._acks.get(timeout=_ACK_TIMEOUT_S)
-            except queue.Empty:
-                raise RuntimeError("broker did not acknowledge within the timeout") from None
+        """Send `frame` and wait for its ack; the caller holds _call_lock."""
+        _send_frame(self._sock, self._write_lock, frame)
+        try:
+            return self._acks.get(timeout=_ACK_TIMEOUT_S)
+        except queue.Empty:
+            raise RuntimeError("broker did not acknowledge within the timeout") from None
 
     def subscribe(self, filt: str, handler: Handler) -> int:
         with self._subs_lock:
             self._next_local_sub += 1
             local_id = self._next_local_sub
-            self._subs.append((local_id, filt, handler))
-        self._call({"type": "sub", "topic": filt, "payload_b64": "", "sender": self.node,
-                    "msg_id": 0})
+            self._handlers[local_id] = handler
+            self._routes.add(local_id, filt)
+        with self._call_lock:
+            self._call({"type": "sub", "topic": filt, "payload_b64": "", "sender": self.node,
+                        "msg_id": 0})
         return local_id
 
     def unsubscribe(self, local_id: int) -> None:
         with self._subs_lock:
-            self._subs = [s for s in self._subs if s[0] != local_id]
+            self._handlers.pop(local_id, None)
+            self._routes.remove(local_id)
 
     def publish(self, topic: str, payload: bytes) -> int:
-        return self._call(
-            {
-                "type": "pub",
-                "topic": topic,
-                "payload_b64": base64.b64encode(payload).decode("ascii"),
-                "sender": self.node,
-                "msg_id": 0,
-            }
-        )
+        frame = {
+            "type": "pub",
+            "topic": topic,
+            "payload_b64": base64.b64encode(payload).decode("ascii"),
+            "sender": self.node,
+            "msg_id": 0,
+        }
+        with self._call_lock:
+            msg_id = self._call(frame)
+            # recorded under the lock, so a close() that follows cannot lose it
+            self._published.append(
+                Envelope(msg_id, topic, bytes(payload), time.time() * 1000.0, self.node))
+        return msg_id
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
+        """Shut the socket once any publish or subscribe in flight has its ack."""
+        with self._call_lock:
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -295,7 +296,7 @@ class TcpBus:
         with self._lock:
             conn = self._conns.get(node)
             if conn is None:
-                conn = _NodeConnection(self.host, self.port, node)
+                conn = _NodeConnection(self.host, self.port, node, self.published)
                 self._conns[node] = conn
             return conn
 
@@ -314,9 +315,7 @@ class TcpBus:
         validate_topic(topic)
         if len(payload) > MAX_FRAME_BYTES:
             raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
-        msg_id = self._conn(sender).publish(topic, payload)
-        self.published.append(Envelope(msg_id, topic, bytes(payload), self.now, sender))
-        return msg_id
+        return self._conn(sender).publish(topic, payload)
 
     def drive(self, done, timeout_ms: float = 120_000.0) -> None:
         """Poll until the workload reports completion; handlers run on bus threads."""

@@ -205,7 +205,7 @@ def run_training(handle: JobHandle) -> TrainResult:
     """Drive the submitted job to completion and collect per-epoch metrics."""
     coord = handle.coordinator
     handle.broker.drive(lambda: coord.done)
-    missing = [k for k in range(handle.job.num_workers) if k in coord.pending]
+    missing = [k for k in range(handle.job.num_workers) if k not in coord.pending]
     if not coord.done:
         raise RuntimeError(f"training stalled at epoch {coord.epoch}; missing gradients {missing}")
     return TrainResult(coord.model, coord.metrics)

@@ -1,5 +1,7 @@
 """One behavioural suite, two backends: the simulated broker and the TCP broker."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -117,3 +119,76 @@ def test_msg_ids_strictly_increase(backend):
     backend.settle()
     assert ids == sorted(ids)
     assert len(set(ids)) == 5
+
+
+def test_routes_follow_subscription_changes_after_a_topic_was_routed(backend):
+    old, new, sync = [], [], []
+    handle = backend.bus.subscribe("fog:a", "conf/r/+", old.append)
+    backend.bus.subscribe("fog:a", "conf/sync", sync.append)
+    backend.bus.publish("edge:s", "conf/r/x", b"1")
+    backend.settle(lambda: len(old) == 1)
+    backend.bus.subscribe("fog:b", "conf/#", new.append)
+    backend.bus.unsubscribe(handle)
+    backend.bus.publish("edge:s", "conf/r/x", b"2")
+    # same sender, so fog:a has handled (or dropped) b"2" before it sees b"s"
+    backend.bus.publish("edge:s", "conf/sync", b"s")
+    backend.settle(lambda: len(new) == 2 and len(sync) == 1)
+    assert [env.payload for env in old] == [b"1"]
+    assert [env.payload for env in new] == [b"2", b"s"]
+
+
+class SlowAckServer(TcpBrokerServer):
+    """Acks late, so a subscriber sees a publish before its publisher sees the ack."""
+
+    def _ack(self, entry, msg_id):
+        time.sleep(0.05)
+        super()._ack(entry, msg_id)
+
+
+def test_tcp_close_keeps_a_publish_still_waiting_for_its_ack():
+    server = SlowAckServer(port=0)
+    bus = TcpBus(port=server.port)
+    try:
+        got = []
+        bus.subscribe("fog:w", "conf/ping", lambda env: bus.publish("fog:w", "conf/pong", b"last"))
+        bus.subscribe("cloud:c", "conf/pong", got.append)
+        # published from a side thread, so drive starts before any ack arrives
+        threading.Thread(target=bus.publish, args=("edge:s", "conf/ping", b"go")).start()
+        bus.drive(lambda: got, timeout_ms=5_000.0)
+        bus.close()
+        assert [env.payload for env in bus.published if env.topic == "conf/pong"] == [b"last"]
+    finally:
+        bus.close()
+        server.close()
+
+
+def test_tcp_routes_stay_exact_while_nodes_subscribe_concurrently():
+    server = TcpBrokerServer(port=0)
+    bus = TcpBus(port=server.port)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = {k: [] for k in range(6)}
+
+        def node(k):
+            bus.subscribe(f"fog:n{k}", "stress/+", got[k].append)
+            for i in range(20):
+                bus.publish(f"edge:p{k}", "stress/x", bytes([k, i]))
+
+        threads = [threading.Thread(target=node, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        # each node subscribed before it published, so a stale route would lose its own messages
+        own = {k: {bytes([k, i]) for i in range(20)} for k in got}
+        deadline = time.monotonic() + 5.0
+        while not all(own[k] <= {e.payload for e in got[k]} for k in got):
+            assert time.monotonic() < deadline, "a node missed a publish made after it subscribed"
+            time.sleep(0.002)
+        assert all(len({e.msg_id for e in got[k]}) == len(got[k]) for k in got)
+    finally:
+        sys.setswitchinterval(interval)
+        bus.close()
+        server.close()

@@ -237,6 +237,35 @@ def test_deserialize_rejects_wrong_length():
     nn.deserialize_params([512, 32, 8], "sigmoid", np.zeros(16680))
 
 
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The gather/scatter sigmoid that nn._sigmoid replaced; its bitwise oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_SPECIALS = (math.inf, -math.inf, 0.0, -0.0, math.nan, -math.nan,
+                    710.5, -710.5, 745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324)
+
+
+@given(
+    shape=st.sampled_from([(8, 8), (60, 32), (256, 256), (16000, 32)]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 40.0, 1000.0]),
+    specials=st.lists(st.sampled_from(SIGMOID_SPECIALS) | st.floats(), max_size=64),
+)
+@settings(max_examples=40, deadline=None)
+def test_sigmoid_is_bitwise_the_masked_formula(shape, seed, scale, specials):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=scale, size=shape)
+    flat = z.reshape(-1)
+    flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
+    assert nn._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 layer_sizes_strategy = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 
 

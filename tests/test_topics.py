@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from continuum.bus import topic_matches, validate_filter, validate_node_id, validate_topic
+from continuum.bus import (
+    RouteTable,
+    topic_matches,
+    validate_filter,
+    validate_node_id,
+    validate_topic,
+)
 
 
 def reference_match(filter_levels: list[str], topic_levels: list[str]) -> bool:
@@ -79,6 +85,38 @@ def test_random_filters_agree_with_reference(filter_levels, topic_levels):
     filt = "/".join(filter_levels)
     topic = "/".join(topic_levels)
     assert topic_matches(filt, topic) == reference_match(filt.split("/"), topic.split("/"))
+
+
+route_filters = st.builds(
+    lambda levels, tail: "/".join(levels + tail),
+    st.lists(st.sampled_from(["a", "b", "+"]), min_size=0, max_size=3),
+    st.sampled_from([[], ["#"]]),
+).filter(bool)
+route_topics = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3).map("/".join)
+route_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("sub"), st.integers(0, 5), route_filters),
+        st.tuples(st.just("unsub"), st.integers(0, 5)),
+        st.tuples(st.just("pub"), route_topics),
+    ),
+    max_size=60,
+)
+
+
+@given(route_ops)
+def test_route_table_agrees_with_a_full_scan(ops):
+    table = RouteTable()
+    subs: list[tuple[str, int]] = []  # (filter, target) in subscription order
+    for op in ops:
+        if op[0] == "sub":
+            table.add(op[1], op[2])
+            subs.append((op[2], op[1]))
+        elif op[0] == "unsub":
+            table.remove(op[1])
+            subs = [(f, t) for f, t in subs if t != op[1]]
+        else:
+            expected = list(dict.fromkeys(t for f, t in subs if topic_matches(f, op[1])))
+            assert table.route(op[1]) == expected
 
 
 def test_filter_validation():
