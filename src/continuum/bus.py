@@ -32,6 +32,13 @@ def validate_topic(topic: str) -> str:
     return topic
 
 
+def validate_payload(payload: bytes) -> bytes:
+    """Check a payload against the frame cap that both backends enforce."""
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
+    return payload
+
+
 def validate_filter(filt: str) -> str:
     """Check a subscription filter: '+'/'#' only as whole levels, '#' only last."""
     if not filt:
@@ -217,8 +224,7 @@ class SimBroker:
         self._require_running()
         validate_node_id(sender)
         validate_topic(topic)
-        if len(payload) > MAX_FRAME_BYTES:
-            raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
+        validate_payload(payload)
         env = Envelope(next(self._msg_ids), topic, bytes(payload), self.clock.now, sender)
         self.published.append(env)
         for sub_id in self._routes.route(topic):

@@ -1,23 +1,39 @@
 """Framed-TCP bus backend with the same surface as the simulated broker.
 
-Wire format (frozen): a 4-byte big-endian payload length, then a UTF-8 JSON
-object {"type": "pub"|"sub"|"ack", "topic": string, "payload_b64": string,
-"sender": string, "msg_id": number}. One reader thread per connection feeds a
-single dispatch thread, so handlers never run concurrently with each other;
-publishes are acknowledged, giving at-least-once delivery within the process
-lifetime. No retained messages, no persistence.
+Wire format, version 2. Every frame is a 4-byte big-endian length of the rest
+of the frame, then (all integers big-endian):
+
+    u8  version       always 2
+    u8  kind          1 = pub, 2 = sub, 3 = ack
+    u64 msg_id
+    u16 topic length  in UTF-8 bytes
+    u16 sender length in UTF-8 bytes
+    topic, sender     UTF-8
+    payload           the published bytes, unchanged, to the end of the frame
+
+A payload may be up to MAX_FRAME_BYTES (16 MiB), the same cap as the simulated
+broker; header, topic and sender come on top of it. Payload bytes cross each
+hop as they are (1.0x the payload, where the version-1 JSON frame carried
+base64 text, 1.33x). A reader raises ValueError, which closes only the
+connection that sent the frame, on a declared length over the cap (before it
+reads or allocates the body), a version-1 JSON frame, an unknown version or an
+unknown kind.
+
+One reader thread per connection feeds a single dispatch thread, so handlers
+never run concurrently with each other; publishes are acknowledged, giving
+at-least-once delivery within the process lifetime. No retained messages, no
+persistence.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import queue
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bus import (
     MAX_FRAME_BYTES,
@@ -26,42 +42,86 @@ from .bus import (
     RouteTable,
     validate_filter,
     validate_node_id,
+    validate_payload,
     validate_topic,
 )
 
 DEFAULT_PORT = 18883
 _ACK_TIMEOUT_S = 10.0
 
+FRAME_VERSION = 2
+PUB, SUB, ACK = 1, 2, 3
+_LENGTH = struct.Struct(">I")
+_HEADER = struct.Struct(">BBQHH")  # version, kind, msg_id, topic length, sender length
+_MAX_NAME_BYTES = 0xFFFF
+_MAX_BODY_BYTES = _HEADER.size + 2 * _MAX_NAME_BYTES + MAX_FRAME_BYTES
 
-def _send_frame(sock: socket.socket, lock: threading.Lock, obj: dict) -> None:
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(data) > MAX_FRAME_BYTES:
-        raise ValueError(f"frame of {len(data)} bytes exceeds the 16 MiB limit")
+
+class Frame(NamedTuple):
+    """One decoded frame; acks and subscribes leave the fields they do not use empty."""
+
+    kind: int  # PUB, SUB or ACK
+    msg_id: int
+    topic: str = ""
+    sender: str = ""
+    payload: bytes = b""
+
+
+def _send_frame(sock: socket.socket, lock: threading.Lock, frame: Frame) -> None:
+    topic = frame.topic.encode("utf-8")
+    sender = frame.sender.encode("utf-8")
+    if len(topic) > _MAX_NAME_BYTES or len(sender) > _MAX_NAME_BYTES:
+        raise ValueError(f"topic and sender must each fit in {_MAX_NAME_BYTES} UTF-8 bytes")
+    body_len = _HEADER.size + len(topic) + len(sender) + len(frame.payload)
+    data = b"".join((
+        _LENGTH.pack(body_len),
+        _HEADER.pack(FRAME_VERSION, frame.kind, frame.msg_id, len(topic), len(sender)),
+        topic,
+        sender,
+        frame.payload,
+    ))
     with lock:
-        sock.sendall(struct.pack(">I", len(data)) + data)
+        sock.sendall(data)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             return None
-        buf += chunk
+        view = view[got:]
     return buf
 
 
-def _recv_frame(sock: socket.socket) -> dict | None:
-    header = _recv_exact(sock, 4)
-    if header is None:
+def _recv_frame(sock: socket.socket) -> Frame | None:
+    """The next frame, or None at end of stream; raises ValueError on a malformed frame."""
+    prefix = _recv_exact(sock, _LENGTH.size)
+    if prefix is None:
         return None
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError("incoming frame exceeds the 16 MiB limit")
+    (length,) = _LENGTH.unpack(prefix)
+    if length > _MAX_BODY_BYTES:
+        raise ValueError(f"incoming frame of {length} bytes exceeds the 16 MiB payload limit")
+    if length < _HEADER.size:
+        raise ValueError(f"incoming frame of {length} bytes is shorter than its header")
     body = _recv_exact(sock, length)
     if body is None:
         return None
-    return json.loads(body.decode("utf-8"))
+    version, kind, msg_id, topic_len, sender_len = _HEADER.unpack_from(body)
+    if version != FRAME_VERSION:
+        raise ValueError(f"unsupported frame version {version}")
+    if kind not in (PUB, SUB, ACK):
+        raise ValueError(f"unknown frame kind {kind}")
+    sender_at = _HEADER.size + topic_len
+    payload_at = sender_at + sender_len
+    if payload_at > length:
+        raise ValueError("topic and sender overrun the frame")
+    if length - payload_at > MAX_FRAME_BYTES:
+        raise ValueError("incoming payload exceeds the 16 MiB limit")
+    view = memoryview(body)
+    return Frame(kind, msg_id, str(view[_HEADER.size:sender_at], "utf-8"),
+                 str(view[sender_at:payload_at], "utf-8"), bytes(view[payload_at:]))
 
 
 class TcpBrokerServer:
@@ -111,30 +171,28 @@ class TcpBrokerServer:
                 self._routes.remove(conn_id)
             conn.close()
 
-    def _handle(self, conn_id: int, frame: dict) -> None:
-        kind = frame.get("type")
-        if kind == "sub":
+    def _handle(self, conn_id: int, frame: Frame) -> None:
+        if frame.kind == SUB:
             with self._lock:
                 self._next_sub += 1
                 sub_id = self._next_sub
-                self._routes.add(conn_id, frame["topic"])
+                self._routes.add(conn_id, frame.topic)
                 entry = self._conns.get(conn_id)
             if entry is not None:
                 self._ack(entry, sub_id)
-        elif kind == "pub":
+        elif frame.kind == PUB:
             with self._lock:
                 self._next_msg += 1
                 msg_id = self._next_msg
                 entry = self._conns.get(conn_id)
-            self._dispatch.put({**frame, "msg_id": msg_id})
+            self._dispatch.put(frame._replace(msg_id=msg_id))
             if entry is not None:
                 self._ack(entry, msg_id)
 
     def _ack(self, entry: tuple[socket.socket, threading.Lock], msg_id: int) -> None:
         sock, lock = entry
         try:
-            _send_frame(sock, lock, {"type": "ack", "topic": "", "payload_b64": "",
-                                     "sender": "", "msg_id": msg_id})
+            _send_frame(sock, lock, Frame(ACK, msg_id))
         except OSError:
             pass
 
@@ -144,7 +202,7 @@ class TcpBrokerServer:
             if frame is None:
                 return
             with self._lock:
-                targets = [self._conns.get(c) for c in self._routes.route(frame["topic"])]
+                targets = [self._conns.get(c) for c in self._routes.route(frame.topic)]
             for entry in filter(None, targets):
                 sock, lock = entry
                 try:
@@ -176,11 +234,17 @@ class TcpBrokerServer:
 
 
 class _NodeConnection:
-    """One node's connection: serialized local dispatch, FIFO publish acks."""
+    """One node's connection: serialized local dispatch, FIFO publish acks.
 
-    def __init__(self, host: str, port: int, node: str, published: list[Envelope]):
+    The first exception a handler raises is appended to `failures` as
+    (node, topic, exception), and the node dispatches nothing after it.
+    """
+
+    def __init__(self, host: str, port: int, node: str, published: list[Envelope],
+                 failures: list[tuple[str, str, Exception]]):
         self.node = node
         self._published = published
+        self._failures = failures
         self._sock = socket.create_connection((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
@@ -200,9 +264,9 @@ class _NodeConnection:
                 frame = _recv_frame(self._sock)
                 if frame is None:
                     break
-                if frame["type"] == "ack":
-                    self._acks.put(frame["msg_id"])
-                elif frame["type"] == "pub":
+                if frame.kind == ACK:
+                    self._acks.put(frame.msg_id)
+                elif frame.kind == PUB:
                     self._incoming.put(frame)
         except (OSError, ValueError):
             pass
@@ -214,19 +278,18 @@ class _NodeConnection:
             frame = self._incoming.get()
             if frame is None:
                 return
-            env = Envelope(
-                msg_id=frame["msg_id"],
-                topic=frame["topic"],
-                payload=base64.b64decode(frame["payload_b64"]),
-                publish_time=time.time() * 1000.0,
-                sender=frame["sender"],
-            )
+            env = Envelope(frame.msg_id, frame.topic, frame.payload, time.time() * 1000.0,
+                           frame.sender)
             with self._subs_lock:
                 handlers = [self._handlers[i] for i in self._routes.route(env.topic)]
             for handler in handlers:
-                handler(env)
+                try:
+                    handler(env)
+                except Exception as exc:  # re-raised by TcpBus.drive
+                    self._failures.append((self.node, env.topic, exc))
+                    return
 
-    def _call(self, frame: dict) -> int:
+    def _call(self, frame: Frame) -> int:
         """Send `frame` and wait for its ack; the caller holds _call_lock."""
         _send_frame(self._sock, self._write_lock, frame)
         try:
@@ -241,8 +304,7 @@ class _NodeConnection:
             self._handlers[local_id] = handler
             self._routes.add(local_id, filt)
         with self._call_lock:
-            self._call({"type": "sub", "topic": filt, "payload_b64": "", "sender": self.node,
-                        "msg_id": 0})
+            self._call(Frame(SUB, 0, filt, self.node))
         return local_id
 
     def unsubscribe(self, local_id: int) -> None:
@@ -251,15 +313,8 @@ class _NodeConnection:
             self._routes.remove(local_id)
 
     def publish(self, topic: str, payload: bytes) -> int:
-        frame = {
-            "type": "pub",
-            "topic": topic,
-            "payload_b64": base64.b64encode(payload).decode("ascii"),
-            "sender": self.node,
-            "msg_id": 0,
-        }
         with self._call_lock:
-            msg_id = self._call(frame)
+            msg_id = self._call(Frame(PUB, 0, topic, self.node, payload))
             # recorded under the lock, so a close() that follows cannot lose it
             self._published.append(
                 Envelope(msg_id, topic, bytes(payload), time.time() * 1000.0, self.node))
@@ -286,6 +341,7 @@ class TcpBus:
     def __post_init__(self) -> None:
         self._conns: dict[str, _NodeConnection] = {}
         self._lock = threading.Lock()
+        self._failures: list[tuple[str, str, Exception]] = []
 
     @property
     def now(self) -> float:
@@ -296,7 +352,8 @@ class TcpBus:
         with self._lock:
             conn = self._conns.get(node)
             if conn is None:
-                conn = _NodeConnection(self.host, self.port, node, self.published)
+                conn = _NodeConnection(self.host, self.port, node, self.published,
+                                       self._failures)
                 self._conns[node] = conn
             return conn
 
@@ -313,14 +370,23 @@ class TcpBus:
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int:
         validate_topic(topic)
-        if len(payload) > MAX_FRAME_BYTES:
-            raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
+        validate_payload(payload)
         return self._conn(sender).publish(topic, payload)
 
     def drive(self, done, timeout_ms: float = 120_000.0) -> None:
-        """Poll until the workload reports completion; handlers run on bus threads."""
+        """Poll until the workload reports completion; handlers run on bus threads.
+
+        Raises the first exception any handler raised as soon as it is seen:
+        the handler's own exception, so both backends raise the same type, with
+        a cause that names the node and the topic it was handling.
+        """
         deadline = time.monotonic() + timeout_ms / 1000.0
-        while not done():
+        while True:
+            if self._failures:
+                node, topic, exc = self._failures[0]
+                raise exc from RuntimeError(f"a handler of {node} raised on topic {topic!r}")
+            if done():
+                return
             if time.monotonic() > deadline:
                 raise RuntimeError("workload did not complete within the drive timeout")
             time.sleep(0.001)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from continuum.bus import SimBroker
+from continuum.bus import MAX_FRAME_BYTES, SimBroker
 from continuum.tcp import TcpBrokerServer, TcpBus
 
 
@@ -135,6 +135,37 @@ def test_routes_follow_subscription_changes_after_a_topic_was_routed(backend):
     backend.settle(lambda: len(new) == 2 and len(sync) == 1)
     assert [env.payload for env in old] == [b"1"]
     assert [env.payload for env in new] == [b"2", b"s"]
+
+
+def test_handler_exception_surfaces_from_drive_at_once(backend):
+    seen = []
+
+    def handler(env):
+        seen.append(env.payload)
+        raise LookupError(f"no entry for {env.payload!r}")
+
+    backend.bus.subscribe("fog:a", "conf/bad", handler)
+    backend.bus.publish("edge:s", "conf/bad", b"1")
+    backend.bus.publish("edge:s", "conf/bad", b"2")
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="no entry for b'1'") as info:
+        backend.bus.drive(lambda: False, timeout_ms=5_000.0)
+    assert time.monotonic() - start < 2.0
+    assert seen == [b"1"]
+    if backend.name == "tcp":  # handlers run on a bus thread, so drive says where it failed
+        assert "fog:a" in str(info.value.__cause__)
+        assert "conf/bad" in str(info.value.__cause__)
+
+
+def test_payload_cap_is_the_same_on_both_backends(backend):
+    got = []
+    backend.bus.subscribe("fog:a", "conf/big", got.append)
+    largest = bytes(range(256)) * (MAX_FRAME_BYTES // 256)
+    backend.bus.publish("edge:s", "conf/big", largest)
+    backend.settle(lambda: len(got) == 1)
+    assert got[0].payload == largest
+    with pytest.raises(ValueError, match="payload of 16777217 bytes exceeds the 16 MiB frame limit"):
+        backend.bus.publish("edge:s", "conf/big", largest + b"!")
 
 
 class SlowAckServer(TcpBrokerServer):
