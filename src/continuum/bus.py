@@ -13,7 +13,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Any, Callable, Collection, Hashable, Protocol
 
 log = logging.getLogger("continuum.bus")
 
@@ -21,6 +21,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 NODE_LAYERS = ("edge", "fog", "cloud")
 
 Handler = Callable[["Envelope"], None]
+# What a workload still waits for, by name (a node id, "item 3"); empty once it is done.
+Awaiting = Callable[[], Collection[str]]
 
 
 def validate_topic(topic: str) -> str:
@@ -37,6 +39,11 @@ def validate_payload(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ValueError(f"payload of {len(payload)} bytes exceeds the 16 MiB frame limit")
     return payload
+
+
+def stalled(cause: str, missing: Collection[str]) -> RuntimeError:
+    """The error either backend's `drive` raises when a workload stops short of done."""
+    return RuntimeError(f"{cause}; still awaiting {sorted(missing)}")
 
 
 def validate_filter(filt: str) -> str:
@@ -141,6 +148,29 @@ class LinkLatency:
         return self.pairs.get((sender, receiver), self.default_ms)
 
 
+class Bus(Protocol):
+    """What the workloads use of a bus; SimBroker and tcp.TcpBus both provide it.
+
+    `drive(awaiting, timeout_ms)` returns once `awaiting()` is empty. It raises
+    the first exception a handler raised, or, when the workload can make no
+    more progress (sim: the event queue drained; TCP: `timeout_ms` passed),
+    a RuntimeError naming `sorted(awaiting())`.
+    """
+
+    published: list[Envelope]
+
+    @property
+    def now(self) -> float: ...  # ms; virtual under SimBroker, wall-clock under TCP
+
+    def subscribe(self, node: str, filt: str, handler: Handler) -> Any: ...
+
+    def unsubscribe(self, handle: Any) -> None: ...  # a handle subscribe returned
+
+    def publish(self, sender: str, topic: str, payload: bytes) -> int: ...
+
+    def drive(self, awaiting: Awaiting, timeout_ms: float = ...) -> None: ...
+
+
 class SimClock:
     """Virtual-time event queue; equal due times fire in scheduling (FIFO) order."""
 
@@ -186,9 +216,7 @@ class SimBroker:
         self._routes = RouteTable()  # of sub_ids
         self._sub_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
-        self._running = True
         self.published: list[Envelope] = []
-        self.delivery_trace: list[tuple[float, str, int]] = []
 
     @property
     def now(self) -> float:
@@ -200,15 +228,7 @@ class SimBroker:
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> None:
         self.clock.call_later(delay_ms, fn)
 
-    def shutdown(self) -> None:
-        self._running = False
-
-    def _require_running(self) -> None:
-        if not self._running:
-            raise RuntimeError("broker has been shut down")
-
     def subscribe(self, node: str, filt: str, handler: Handler) -> int:
-        self._require_running()
         validate_node_id(node)
         validate_filter(filt)
         sub_id = next(self._sub_ids)
@@ -221,7 +241,6 @@ class SimBroker:
         self._routes.remove(sub_id)
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int:
-        self._require_running()
         validate_node_id(sender)
         validate_topic(topic)
         validate_payload(payload)
@@ -236,7 +255,6 @@ class SimBroker:
         entry = self._subs.get(sub_id)
         if entry is None:  # unsubscribed while in flight
             return
-        self.delivery_trace.append((self.clock.now, env.topic, env.msg_id))
         log.debug("deliver t=%.3f topic=%s msg=%d -> %s", self.clock.now, env.topic, env.msg_id, entry[0])
         entry[1](env)
 
@@ -256,8 +274,14 @@ class SimBroker:
             last_due = self.clock.step()
         return last_due
 
-    def drive(self, done: Callable[[], bool], timeout_ms: float | None = None) -> None:
-        """Run the event loop to completion and check `done` was reached."""
+    def drive(self, awaiting: Awaiting, timeout_ms: float | None = None) -> None:
+        """Drain the event queue, then raise naming whatever the workload still awaits.
+
+        `timeout_ms` is part of the Bus contract so that one call runs on either
+        backend; it is unused here, because a drained queue already bounds a run
+        in virtual time and the event cap bounds a livelock.
+        """
         self.run_until_idle()
-        if not done():
-            raise RuntimeError("event queue drained before the workload completed")
+        missing = awaiting()
+        if missing:
+            raise stalled("event queue drained", missing)

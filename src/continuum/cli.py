@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, federated, training
-from .bus import SimBroker
+from .bus import Bus, SimBroker
 from .configs import (
     ConfigError,
     DistTrainExperiment,
@@ -80,17 +80,17 @@ class _BusContext:
     """Owns the broker for one run; TCP mode spins a local broker server."""
 
     def __init__(self, backend: str, port: int):
-        self.backend = backend
-        self.server = None
+        self.server: TcpBrokerServer | None = None
+        self.bus: Bus
         if backend == "sim":
             self.bus = SimBroker()
         else:
             self.server = TcpBrokerServer(port=port)
-            self.bus = TcpBus(port=self.server.port)
+            self.bus = self._tcp_bus = TcpBus(port=self.server.port)
 
     def close(self) -> None:
-        if self.backend == "tcp":
-            self.bus.close()
+        if self.server is not None:
+            self._tcp_bus.close()
             self.server.close()
 
 

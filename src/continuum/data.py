@@ -38,15 +38,6 @@ class Dataset:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Assignment of sample index -> part index, a pure function of (n, parts, seed)."""
-
-    num_parts: int
-    assignment: np.ndarray
-    seed: int
-
-
 def class_directions(num_classes: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic near-orthonormal unit direction per class via Gram-Schmidt."""
     rng = np.random.default_rng(seed)
@@ -150,27 +141,13 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f",{int(y)}\n")
 
 
-def _permutation(n: int, num_parts: int, seed: int) -> np.ndarray:
-    """The seeded shuffle both partition functions deal from, after checking `num_parts`."""
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
-    if num_parts > n:
-        raise ValueError(f"cannot split {n} samples into {num_parts} parts")
-    return np.random.default_rng(seed).permutation(n)
-
-
-def partition_plan(n: int, num_parts: int, seed: int) -> PartitionPlan:
-    """Seeded uniform shuffle dealt round-robin; sizes differ by at most one."""
-    perm = _permutation(n, num_parts, seed)
-    assignment = np.empty(n, dtype=np.int64)
-    for part in range(num_parts):
-        assignment[perm[part::num_parts]] = part
-    return PartitionPlan(num_parts, assignment, seed)
-
-
 def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
     """Split into disjoint covering parts; samples keep shuffled order within a part."""
-    perm = _permutation(len(dataset), num_parts, seed)
+    if num_parts < 1:
+        raise ValueError("num_parts must be >= 1")
+    if num_parts > len(dataset):
+        raise ValueError(f"cannot split {len(dataset)} samples into {num_parts} parts")
+    perm = np.random.default_rng(seed).permutation(len(dataset))
     parts = []
     for k in range(num_parts):
         idx = perm[k::num_parts]

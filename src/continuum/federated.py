@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, wire
-from .bus import Envelope, SimBroker
+from .bus import Bus, Envelope, SimBroker
 from .data import Dataset, next_round_batch, partition
 
 SERVER_NODE = "cloud:server"
@@ -121,10 +121,7 @@ class RoundMetrics:
 @dataclass
 class FlRunResult:
     global_model: GlobalModel
-    model: nn.MlpModel
     rows: list[RoundMetrics]
-    train_size: int
-    test_size: int
 
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
@@ -211,7 +208,7 @@ def _global_payload(round_index: int, params: np.ndarray) -> bytes:
 class _Server:
     """Shared server state: global params, pending updates, per-round metrics."""
 
-    def __init__(self, config: FlConfig, broker, test: Dataset):
+    def __init__(self, config: FlConfig, broker: Bus, test: Dataset):
         self.config = config
         self.broker = broker
         self.test = test
@@ -225,13 +222,11 @@ class _Server:
         self._record()  # round 0: the untrained global model
         broker.subscribe(SERVER_NODE, UPDATE_TOPIC, self.on_update)
 
-    def _model(self) -> nn.MlpModel:
-        return nn.deserialize_params(
+    def _record(self) -> None:
+        model = nn.deserialize_params(
             self.config.layer_sizes, self.config.hidden_activation, self.params
         )
-
-    def _record(self) -> None:
-        result = nn.evaluate(self._model(), self.test.features, self.test.labels)
+        result = nn.evaluate(model, self.test.features, self.test.labels)
         self.rows.append(
             RoundMetrics(self.round_index, result.accuracy, result.mean_loss, len(self.contributors))
         )
@@ -242,8 +237,19 @@ class _Server:
     def on_update(self, env: Envelope) -> None:
         raise NotImplementedError
 
+    def result(self) -> FlRunResult:
+        return FlRunResult(GlobalModel(self.round_index, self.params, self.contributors), self.rows)
+
 
 class _SyncServer(_Server):
+    def awaiting(self) -> list[str]:
+        """Clients whose update this round lacks, or the server while it aggregates."""
+        if self.done:
+            return []
+        missing = [CLIENT_NODE.format(client=k)
+                   for k in range(self.config.num_clients) if k not in self.pending]
+        return missing or [SERVER_NODE]
+
     def on_update(self, env: Envelope) -> None:
         if self.done:
             return
@@ -292,7 +298,7 @@ class _AsyncServer(_Server):
 
 
 class _Client:
-    def __init__(self, client_id: int, config: FlConfig, broker, part: Dataset):
+    def __init__(self, client_id: int, config: FlConfig, broker: Bus, part: Dataset):
         self.client_id = client_id
         self.config = config
         self.broker = broker
@@ -321,33 +327,29 @@ class _SyncClient(_Client):
         super().on_global(env)
         round_index = self.latest.round_index
         if round_index < self.config.rounds:
-            self.train_and_send(round_index, send_time=getattr(self.broker, "now", 0.0))
+            self.train_and_send(round_index, send_time=self.broker.now)
 
 
-def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, Dataset, list[Dataset]]:
+def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
     if dataset.num_classes != config.layer_sizes[-1]:
         raise ValueError(
             f"dataset has {dataset.num_classes} classes but the output layer has "
             f"{config.layer_sizes[-1]} units"
         )
     train, test = split_train_test(dataset)
-    parts = partition(train, config.num_clients, config.seed)
-    return train, test, parts
+    return test, partition(train, config.num_clients, config.seed)
 
 
-def run_sync(config: FlConfig, broker, dataset: Dataset) -> FlRunResult:
+def run_sync(config: FlConfig, broker: Bus, dataset: Dataset) -> FlRunResult:
     """Lockstep rounds: every client contributes to every aggregation."""
     if config.mode != "sync":
         raise ValueError("run_sync requires a sync-mode config")
-    train, test, parts = _prepare(config, dataset)
+    test, parts = _prepare(config, dataset)
     server = _SyncServer(config, broker, test)
     clients = [_SyncClient(k, config, broker, parts[k]) for k in range(config.num_clients)]
     server.broadcast()
-    broker.drive(lambda: server.done)
-    if not server.done:
-        raise RuntimeError("sync federated run did not complete")
-    final = GlobalModel(server.round_index, server.params, server.contributors)
-    return FlRunResult(final, server._model(), server.rows, len(train), len(test))
+    broker.drive(server.awaiting)
+    return server.result()
 
 
 def run_async(
@@ -366,7 +368,7 @@ def run_async(
     if not isinstance(broker, SimBroker):
         raise ValueError("async mode runs on the simulated bus only (interval timers)")
     stragglers = stragglers or StragglerModel()
-    train, test, parts = _prepare(config, dataset)
+    test, parts = _prepare(config, dataset)
     server = _AsyncServer(config, broker, test)
     clients = [_Client(k, config, broker, parts[k]) for k in range(config.num_clients)]
     rngs = [np.random.default_rng([stragglers.seed, k]) for k in range(config.num_clients)]
@@ -390,18 +392,8 @@ def run_async(
         for k, client in enumerate(clients):
             broker.call_at(r * interval, lambda c=client, g=rngs[k], ri=r: fire(c, g, ri))
         broker.call_at((r + 0.5) * interval, server.aggregate)
-    broker.drive(lambda: server.done)
-    final = GlobalModel(server.round_index, server.params, server.contributors)
-    return FlRunResult(final, server._model(), server.rows, len(train), len(test))
-
-
-def run(config: FlConfig, broker, dataset: Dataset,
-        stragglers: StragglerModel | None = None) -> FlRunResult:
-    if config.mode == "sync":
-        if stragglers is not None and not stragglers.is_zero():
-            raise ValueError("sync mode assumes full participation; remove the straggler model")
-        return run_sync(config, broker, dataset)
-    return run_async(config, broker, dataset, stragglers)
+    broker.drive(lambda: [] if server.done else [SERVER_NODE])
+    return server.result()
 
 
 def fl_metrics(result: FlRunResult) -> list[RoundMetrics]:

@@ -238,22 +238,19 @@ def evaluate(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> EvalR
     return EvalResult(accuracy, float(-np.mean(np.log(picked))))
 
 
-def serialize_params(model: MlpModel) -> np.ndarray:
-    """Flatten to the canonical order: W0 row-major, b0, W1, b1, ..."""
+def _flatten(weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The canonical flat order: W0 row-major, b0, W1, b1, ..."""
     parts = []
-    for w, b in zip(model.weights, model.biases):
+    for w, b in zip(weights, biases):
         parts.append(w.ravel())
         parts.append(b)
     return np.concatenate(parts)
 
 
-def deserialize_params(
-    layer_sizes: list[int] | tuple[int, ...],
-    hidden_activation: str,
-    vector: np.ndarray,
-) -> MlpModel:
-    """Rebuild a model from a canonical flat vector; exact inverse of serialize_params."""
-    sizes = tuple(int(s) for s in layer_sizes)
+def _unflatten(
+    sizes: tuple[int, ...], vector: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (weights, biases) copied out of a canonical flat vector; inverse of _flatten."""
     vec = np.asarray(vector, dtype=np.float64)
     expected = param_count(sizes)
     if vec.ndim != 1 or vec.shape[0] != expected:
@@ -266,16 +263,27 @@ def deserialize_params(
         offset += fan_in * fan_out
         biases.append(vec[offset : offset + fan_out].copy())
         offset += fan_out
-    return MlpModel(sizes, hidden_activation, tuple(weights), tuple(biases))
+    return tuple(weights), tuple(biases)
+
+
+def serialize_params(model: MlpModel) -> np.ndarray:
+    """Flatten to the canonical order: W0 row-major, b0, W1, b1, ..."""
+    return _flatten(model.weights, model.biases)
+
+
+def deserialize_params(
+    layer_sizes: list[int] | tuple[int, ...],
+    hidden_activation: str,
+    vector: np.ndarray,
+) -> MlpModel:
+    """Rebuild a model from a canonical flat vector; exact inverse of serialize_params."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    return MlpModel(sizes, hidden_activation, *_unflatten(sizes, vector))
 
 
 def serialize_gradients(grads: Gradients) -> np.ndarray:
     """Gradients flattened in the same canonical order as serialize_params."""
-    parts = []
-    for w, b in zip(grads.weights, grads.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    return _flatten(grads.weights, grads.biases)
 
 
 def deserialize_gradients(
@@ -283,7 +291,8 @@ def deserialize_gradients(
     vector: np.ndarray,
     sample_count: int,
 ) -> Gradients:
-    model = deserialize_params(layer_sizes, "sigmoid", vector)
+    """Rebuild gradients from a canonical flat vector; exact inverse of serialize_gradients."""
+    weights, biases = _unflatten(tuple(int(s) for s in layer_sizes), vector)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    return Gradients(model.weights, model.biases, int(sample_count))
+    return Gradients(weights, biases, int(sample_count))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,28 +47,12 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class CallableService:
-    """Adapter for arbitrary service-time callables fn(rng, item_id) -> ms."""
-
-    fn: Callable[[np.random.Generator, int], float]
-
-    def draw(self, rng: np.random.Generator, item_id: int) -> float:
-        ms = float(self.fn(rng, item_id))
-        if ms < 0:
-            raise ValueError("service callable returned a negative duration")
-        return ms
-
-
-ServiceTime = Constant | Uniform | CallableService
-
-
-@dataclass(frozen=True)
 class StageSpec:
     name: str
     node: str
     input_topic: str
     output_topic: str | None
-    service: ServiceTime
+    service: Constant | Uniform
     kind: str = "process"
     servers: int = 1
     cold_start_ms: float = 0.0
@@ -171,9 +155,8 @@ class ItemTrace:
 class _StageRuntime:
     """Queue plus k-server service state for one stage."""
 
-    def __init__(self, spec: StageSpec, index: int, instance: "PipelineInstance"):
+    def __init__(self, spec: StageSpec, instance: "PipelineInstance"):
         self.spec = spec
-        self.index = index
         self.instance = instance
         self.queue: deque[tuple[int, bytes, float]] = deque()
         self.busy = 0
@@ -227,7 +210,7 @@ class PipelineInstance:
         self.records: list[StageRecord] = []
         self.completions: dict[int, float] = {}
         self.arrivals: dict[int, float] = {}
-        self.stages = [_StageRuntime(s, i, self) for i, s in enumerate(spec.stages)]
+        self.stages = [_StageRuntime(s, self) for s in spec.stages]
         for stage in self.stages:
             broker.subscribe(stage.spec.node, stage.spec.input_topic, stage.on_message)
 
@@ -241,9 +224,8 @@ def run_pipeline(
     arrivals: ArrivalSchedule,
     seed: int = 0,
     source_node: str = "edge:source",
-    payload_size_bytes: int = 1,
 ) -> tuple[list[ItemTrace], list[StageRecord]]:
-    """Inject the arrival schedule, drain the event loop, and return the traces."""
+    """Inject the arrival schedule, drive every item to completion, and return the traces."""
     broker = instance.broker
     instance.rng = np.random.default_rng(seed)
     instance.records.clear()
@@ -252,15 +234,12 @@ def run_pipeline(
     validate_node_id(source_node)
     times = arrivals.times()
     for item_id, t in enumerate(times):
-        payload = wire.pack({"item_id": item_id, "size_bytes": payload_size_bytes})
+        payload = wire.pack({"item_id": item_id})
         instance.arrivals[item_id] = float(t)
         broker.call_at(
             t, lambda p=payload: broker.publish(source_node, instance.spec.source_topic, p)
         )
-    broker.run_until_idle()
-    if len(instance.completions) != len(times):
-        missing = sorted(set(range(len(times))) - set(instance.completions))
-        raise RuntimeError(f"items {missing} never completed the pipeline")
+    broker.drive(lambda: [f"item {i}" for i in range(len(times)) if i not in instance.completions])
     traces = [
         ItemTrace(i, instance.arrivals[i], instance.completions[i]) for i in range(len(times))
     ]

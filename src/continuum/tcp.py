@@ -37,9 +37,11 @@ from typing import NamedTuple
 
 from .bus import (
     MAX_FRAME_BYTES,
+    Awaiting,
     Envelope,
     Handler,
     RouteTable,
+    stalled,
     validate_filter,
     validate_node_id,
     validate_payload,
@@ -332,7 +334,7 @@ class _NodeConnection:
 
 @dataclass
 class TcpBus:
-    """Per-node connections behind the simulated broker's publish/subscribe surface."""
+    """Per-node connections behind the bus.Bus contract that the simulated broker also meets."""
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
@@ -373,22 +375,24 @@ class TcpBus:
         validate_payload(payload)
         return self._conn(sender).publish(topic, payload)
 
-    def drive(self, done, timeout_ms: float = 120_000.0) -> None:
-        """Poll until the workload reports completion; handlers run on bus threads.
+    def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
+        """Poll until `awaiting()` is empty; handlers run on bus threads.
 
         Raises the first exception any handler raised as soon as it is seen:
         the handler's own exception, so both backends raise the same type, with
-        a cause that names the node and the topic it was handling.
+        a cause that names the node and the topic it was handling. At the
+        timeout, raises a RuntimeError naming what the workload still awaits.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
         while True:
             if self._failures:
                 node, topic, exc = self._failures[0]
                 raise exc from RuntimeError(f"a handler of {node} raised on topic {topic!r}")
-            if done():
+            missing = awaiting()
+            if not missing:
                 return
             if time.monotonic() > deadline:
-                raise RuntimeError("workload did not complete within the drive timeout")
+                raise stalled(f"drive timed out after {timeout_ms:g} ms", missing)
             time.sleep(0.001)
 
     def close(self) -> None:

@@ -9,12 +9,12 @@ which is what the tests check against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn, wire
-from .bus import SimBroker
+from .bus import Bus
 from .data import Dataset, partition
 
 ASSIGN_TOPIC = "train/{job}/worker/{worker}"
@@ -94,11 +94,10 @@ def aggregate_and_step(
 
 
 class _Worker:
-    def __init__(self, worker_id: int, job: TrainJob, broker, handle: "JobHandle"):
+    def __init__(self, worker_id: int, job: TrainJob, broker: Bus):
         self.worker_id = worker_id
         self.job = job
         self.broker = broker
-        self.handle = handle
         self.shard: Dataset | None = None
         self.node = WORKER_NODE.format(worker=worker_id)
         broker.subscribe(
@@ -131,7 +130,7 @@ class _Worker:
 
 
 class _Coordinator:
-    def __init__(self, job: TrainJob, broker, shards: list[Dataset]):
+    def __init__(self, job: TrainJob, broker: Bus, shards: list[Dataset]):
         self.job = job
         self.broker = broker
         self.shards = shards
@@ -158,6 +157,14 @@ class _Coordinator:
                 ASSIGN_TOPIC.format(job=self.job.name, worker=k),
                 wire.pack(msg),
             )
+
+    def awaiting(self) -> list[str]:
+        """Workers whose gradients this epoch lacks, or the coordinator while it steps."""
+        if self.done:
+            return []
+        missing = [WORKER_NODE.format(worker=k)
+                   for k in range(self.job.num_workers) if k not in self.pending]
+        return missing or [COORDINATOR_NODE]
 
     def on_gradient(self, env) -> None:
         msg = wire.unpack(env.payload)
@@ -186,26 +193,22 @@ class _Coordinator:
 @dataclass
 class JobHandle:
     job: TrainJob
-    broker: SimBroker
+    broker: Bus
     coordinator: _Coordinator
-    workers: list[_Worker] = field(default_factory=list)
+    workers: list[_Worker]
 
 
-def submit_job(job: TrainJob, broker) -> JobHandle:
+def submit_job(job: TrainJob, broker: Bus) -> JobHandle:
     """Wire coordinator and workers onto the broker and send the first assignments."""
     shards = partition(job.dataset, job.num_workers, job.seed)
     coordinator = _Coordinator(job, broker, shards)
-    handle = JobHandle(job, broker, coordinator)
-    handle.workers = [_Worker(k, job, broker, handle) for k in range(job.num_workers)]
+    workers = [_Worker(k, job, broker) for k in range(job.num_workers)]
     coordinator.broadcast(first=True)
-    return handle
+    return JobHandle(job, broker, coordinator, workers)
 
 
 def run_training(handle: JobHandle) -> TrainResult:
     """Drive the submitted job to completion and collect per-epoch metrics."""
     coord = handle.coordinator
-    handle.broker.drive(lambda: coord.done)
-    missing = [k for k in range(handle.job.num_workers) if k not in coord.pending]
-    if not coord.done:
-        raise RuntimeError(f"training stalled at epoch {coord.epoch}; missing gradients {missing}")
+    handle.broker.drive(coord.awaiting)
     return TrainResult(coord.model, coord.metrics)

@@ -96,14 +96,17 @@ def test_livelock_guard():
 
 
 def test_identical_workload_gives_identical_trace():
-    def workload() -> list[tuple[float, str, int]]:
+    def workload() -> list[tuple[float, str, str, int]]:
         broker = SimBroker(latency=LinkLatency(default_ms=3.0))
-        broker.subscribe("fog:a", "a/#", lambda env: None)
-        broker.subscribe("fog:b", "a/+", lambda env: None)
+        trace = []
+        for node, filt in (("fog:a", "a/#"), ("fog:b", "a/+")):
+            broker.subscribe(
+                node, filt, lambda env, n=node: trace.append((broker.now, n, env.topic, env.msg_id))
+            )
         for i in range(10):
             broker.call_at(5.0 * i, lambda i=i: broker.publish("edge:s", f"a/{i % 3}", b"x"))
         broker.run_until_idle()
-        return broker.delivery_trace
+        return trace
 
     assert workload() == workload()
 
@@ -125,15 +128,6 @@ def test_payload_size_limit():
     broker = SimBroker()
     with pytest.raises(ValueError, match="16 MiB"):
         broker.publish("edge:s", "t", b"x" * (16 * 1024 * 1024 + 1))
-
-
-def test_shutdown_rejects_operations():
-    broker = SimBroker()
-    broker.shutdown()
-    with pytest.raises(RuntimeError):
-        broker.publish("edge:s", "t", b"")
-    with pytest.raises(RuntimeError):
-        broker.subscribe("fog:a", "t", lambda env: None)
 
 
 def test_unsubscribe_cancels_in_flight_delivery():

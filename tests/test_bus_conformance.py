@@ -149,12 +149,17 @@ def test_handler_exception_surfaces_from_drive_at_once(backend):
     backend.bus.publish("edge:s", "conf/bad", b"2")
     start = time.monotonic()
     with pytest.raises(LookupError, match="no entry for b'1'") as info:
-        backend.bus.drive(lambda: False, timeout_ms=5_000.0)
+        backend.bus.drive(lambda: ["fog:a"], timeout_ms=5_000.0)
     assert time.monotonic() - start < 2.0
     assert seen == [b"1"]
     if backend.name == "tcp":  # handlers run on a bus thread, so drive says where it failed
         assert "fog:a" in str(info.value.__cause__)
         assert "conf/bad" in str(info.value.__cause__)
+
+
+def test_stall_names_what_the_workload_still_awaits(backend):
+    with pytest.raises(RuntimeError, match=r"still awaiting \['cloud:never'\]$"):
+        backend.bus.drive(lambda: ["cloud:never"], timeout_ms=300)
 
 
 def test_payload_cap_is_the_same_on_both_backends(backend):
@@ -185,7 +190,7 @@ def test_tcp_close_keeps_a_publish_still_waiting_for_its_ack():
         bus.subscribe("cloud:c", "conf/pong", got.append)
         # published from a side thread, so drive starts before any ack arrives
         threading.Thread(target=bus.publish, args=("edge:s", "conf/ping", b"go")).start()
-        bus.drive(lambda: got, timeout_ms=5_000.0)
+        bus.drive(lambda: [] if got else ["cloud:c"], timeout_ms=5_000.0)
         bus.close()
         assert [env.payload for env in bus.published if env.topic == "conf/pong"] == [b"last"]
     finally:

@@ -159,30 +159,22 @@ def test_partition_determinism_and_errors():
         data.partition(ds, 0, seed=0)
 
 
-def test_partition_plan_matches_partition():
-    ds = index_dataset(37)
-    plan = data.partition_plan(37, 5, seed=3)
-    parts = data.partition(ds, 5, seed=3)
-    assert plan.num_parts == 5
-    for k, part in enumerate(parts):
-        for original_index in part.features[:, 0].astype(int):
-            assert plan.assignment[original_index] == k
-
-
 @given(n=st.integers(1, 300), parts=st.integers(1, 12), seed=st.integers(0, 2**31))
 @settings(max_examples=80, deadline=None)
 def test_partition_properties(n, parts, seed):
+    ds = index_dataset(n)
     if parts > n:
         with pytest.raises(ValueError):
-            data.partition_plan(n, parts, seed)
+            data.partition(ds, parts, seed)
         return
-    plan = data.partition_plan(n, parts, seed)
-    counts = np.bincount(plan.assignment, minlength=parts)
-    assert counts.sum() == n
-    assert counts.min() >= 1
-    assert counts.max() - counts.min() <= 1
-    again = data.partition_plan(n, parts, seed)
-    assert np.array_equal(plan.assignment, again.assignment)
+    split = data.partition(ds, parts, seed)
+    members = [p.features[:, 0].astype(int) for p in split]
+    assert sorted(np.concatenate(members).tolist()) == list(range(n))
+    counts = [len(m) for m in members]
+    assert min(counts) >= 1
+    assert max(counts) - min(counts) <= 1
+    again = data.partition(ds, parts, seed)
+    assert all(np.array_equal(a, b.features[:, 0]) for a, b in zip(members, again))
 
 
 def test_next_round_batch_sequential_and_wrapping():

@@ -169,11 +169,23 @@ def test_sync_is_deterministic():
     ]
 
 
-def test_sync_rejects_stragglers():
-    config = small_config()
-    broker = SimBroker()
-    with pytest.raises(ValueError, match="full participation"):
-        federated.run(config, broker, small_dataset(), StragglerModel(miss_probability=0.1))
+class UpdateDroppingBroker(SimBroker):
+    """Loses every update one client publishes."""
+
+    def __init__(self, lost_sender: str):
+        super().__init__()
+        self.lost_sender = lost_sender
+
+    def publish(self, sender, topic, payload):
+        if sender == self.lost_sender and topic == federated.UPDATE_TOPIC:
+            return 0
+        return super().publish(sender, topic, payload)
+
+
+def test_sync_stall_names_the_client_whose_update_was_lost():
+    broker = UpdateDroppingBroker(lost_sender=federated.CLIENT_NODE.format(client=1))
+    with pytest.raises(RuntimeError, match=r"still awaiting \['fog:client-1'\]$"):
+        federated.run_sync(small_config(), broker, small_dataset())
 
 
 def test_split_is_half_and_half():

@@ -219,6 +219,14 @@ def test_serialization_round_trip_is_bitwise():
     assert np.array_equal(nn.serialize_params(back), vec)
     for w1, w2 in zip(model.weights, back.weights):
         assert np.array_equal(w1, w2)
+    rng = np.random.default_rng(13)
+    grads = nn.gradient(model, nn.Batch(rng.normal(size=(9, 7)), rng.integers(0, 3, size=9)))
+    flat = nn.serialize_gradients(grads)
+    again = nn.deserialize_gradients(model.layer_sizes, flat, grads.sample_count)
+    assert nn.serialize_gradients(again).tobytes() == flat.tobytes()
+    assert again.sample_count == grads.sample_count == 9
+    for g1, g2 in zip(grads.weights + grads.biases, again.weights + again.biases):
+        assert g1.shape == g2.shape and g1.tobytes() == g2.tobytes()
 
 
 def test_serialization_canonical_order():

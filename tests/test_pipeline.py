@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum import wire
 from continuum.bus import LinkLatency, SimBroker
 from continuum.pipeline import (
     ArrivalSchedule,
@@ -160,6 +161,25 @@ def test_no_items_lost():
     assert len(traces) == 17
     assert sorted(t.item_id for t in traces) == list(range(17))
     assert len(records) == 17 * 2
+
+
+class SourceDroppingBroker(SimBroker):
+    """Loses the source publish of one item."""
+
+    def __init__(self, lost_item: int):
+        super().__init__()
+        self.lost_item = lost_item
+
+    def publish(self, sender, topic, payload):
+        if sender == "edge:source" and wire.unpack(payload)["item_id"] == self.lost_item:
+            return 0
+        return super().publish(sender, topic, payload)
+
+
+def test_stall_names_the_item_that_never_completed():
+    instance = build_pipeline(chain_spec([700.0, 300.0]), SourceDroppingBroker(lost_item=2))
+    with pytest.raises(RuntimeError, match=r"still awaiting \['item 2'\]$"):
+        run_pipeline(instance, ArrivalSchedule(count=5, interval_ms=100.0))
 
 
 def test_fifo_and_work_conservation_per_stage():
