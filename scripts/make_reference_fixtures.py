@@ -28,9 +28,10 @@ def dist_train_oracle() -> dict:
     exp = parse_dist_train(json.loads((ROOT / "configs" / "forestfire_synth.json").read_text()))
     dataset = exp.dataset.build()
     model = nn.init_model(exp.layer_sizes, exp.activation, exp.seed)
-    batch = nn.Batch(dataset.features, dataset.labels)
     for _ in range(exp.epochs):
-        model = nn.sgd_step(model, nn.gradient(model, batch), exp.learning_rate)
+        model = nn.sgd_step(
+            model, nn.gradient(model, dataset.features, dataset.labels), exp.learning_rate
+        )
     result = nn.evaluate(model, dataset.features, dataset.labels)
     return {
         "config": "configs/forestfire_synth.json",

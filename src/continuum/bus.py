@@ -159,9 +159,6 @@ class Bus(Protocol):
 
     published: list[Envelope]
 
-    @property
-    def now(self) -> float: ...  # ms; virtual under SimBroker, wall-clock under TCP
-
     def subscribe(self, node: str, filt: str, handler: Handler) -> Any: ...
 
     def unsubscribe(self, handle: Any) -> None: ...  # a handle subscribe returned

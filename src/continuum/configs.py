@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .data import Dataset, load_csv, synth_blobs
 from .federated import FlConfig, StragglerModel
+from .nn import HIDDEN_ACTIVATIONS
 from .pipeline import ArrivalSchedule, Constant, PipelineSpec, StageSpec, Uniform
 
 
@@ -221,6 +222,13 @@ class DistTrainExperiment:
     dataset: DatasetConfig
 
 
+def _activation(doc: dict) -> str:
+    name = _str(doc.get("activation", "sigmoid"), "activation")
+    if name not in HIDDEN_ACTIVATIONS:
+        raise ConfigError(f"activation: expected one of {list(HIDDEN_ACTIVATIONS)}, got {name!r}")
+    return name
+
+
 def _parse_layers(doc: dict, where: str = "layers") -> tuple[int, ...]:
     layers = _require(doc, "layers", "top level")
     if not isinstance(layers, list) or len(layers) < 2:
@@ -236,10 +244,13 @@ def parse_dist_train(
     _reject_unknown(
         doc, {"layers", "activation", "lr", "epochs", "workers", "seed", "dataset"}, "top level"
     )
+    learning_rate = _num(_require(doc, "lr", "top level"), "lr")
+    if not learning_rate > 0:
+        raise ConfigError(f"lr: must be > 0, got {learning_rate}")
     return DistTrainExperiment(
         layer_sizes=_parse_layers(doc),
-        activation=_str(doc.get("activation", "sigmoid"), "activation"),
-        learning_rate=_num(_require(doc, "lr", "top level"), "lr"),
+        activation=_activation(doc),
+        learning_rate=learning_rate,
         epochs=_int(_require(doc, "epochs", "top level"), "epochs", 1),
         workers=_int(_require(doc, "workers", "top level"), "workers", 1),
         seed=resolve_seed(doc.get("seed"), seed_override),
@@ -279,7 +290,7 @@ def parse_fl(
             learning_rate=_num(_require(doc, "lr", "top level"), "lr", 0.0),
             samples_per_round=_int(doc.get("samples_per_round", 60), "samples_per_round", 1),
             local_epochs=_int(doc.get("local_epochs", 1), "local_epochs", 0),
-            hidden_activation=_str(doc.get("activation", "sigmoid"), "activation"),
+            hidden_activation=_activation(doc),
             aggregation_interval_ms=_num(doc.get("interval_ms", 60_000), "interval_ms"),
             staleness_bound=_int(doc.get("staleness_bound", 1), "staleness_bound", 0),
             seed=seed,

@@ -12,11 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import Batch
-
 
 @dataclass(frozen=True)
 class Dataset:
+    """A labelled sample block, checked on every construction.
+
+    This is the only place sample values are checked: features finite, labels
+    in [0, num_classes). `nn` relies on it and checks shapes and labels only.
+    """
+
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int class indices
     num_classes: int
@@ -163,7 +167,7 @@ def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
     return parts
 
 
-def next_round_batch(part: Dataset, round_index: int, samples_per_round: int) -> Batch:
+def next_round_batch(part: Dataset, round_index: int, samples_per_round: int) -> Dataset:
     """Samples [round*s, (round+1)*s) of the part, wrapping modulo its size."""
     if samples_per_round < 1:
         raise ValueError("samples_per_round must be >= 1")
@@ -171,4 +175,4 @@ def next_round_batch(part: Dataset, round_index: int, samples_per_round: int) ->
         raise ValueError("round_index must be >= 0")
     n = len(part)
     idx = (round_index * samples_per_round + np.arange(samples_per_round)) % n
-    return Batch(part.features[idx], part.labels[idx])
+    return Dataset(part.features[idx], part.labels[idx], part.num_classes, name=part.name)

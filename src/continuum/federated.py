@@ -23,7 +23,7 @@ GLOBAL_TOPIC = "fl/global"
 UPDATE_TOPIC = "fl/updates"
 
 _GLOBAL_KEYS = frozenset({"type", "round", "params"})
-_UPDATE_KEYS = frozenset({"type", "client_id", "base_round", "params", "sample_count", "send_time"})
+_UPDATE_KEYS = frozenset({"type", "client_id", "base_round", "params", "sample_count"})
 
 FL_MODES = ("sync", "async")
 
@@ -100,7 +100,6 @@ class ClientUpdate:
     base_round: int
     params: np.ndarray
     sample_count: int
-    send_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ def client_local_train(
     round_index: int,
     part: Dataset,
     config: FlConfig,
-    send_time: float = 0.0,
 ) -> ClientUpdate:
     """Train `local_epochs` full-batch steps on this round's streaming batch."""
     model = nn.deserialize_params(
@@ -154,13 +152,14 @@ def client_local_train(
     )
     batch = next_round_batch(part, round_index, config.samples_per_round)
     for _ in range(config.local_epochs):
-        model = nn.sgd_step(model, nn.gradient(model, batch), config.learning_rate)
+        model = nn.sgd_step(
+            model, nn.gradient(model, batch.features, batch.labels), config.learning_rate
+        )
     return ClientUpdate(
         client_id=client_id,
         base_round=global_model.round_index,
         params=nn.serialize_params(model),
         sample_count=len(batch),
-        send_time=send_time,
     )
 
 
@@ -185,7 +184,6 @@ def _update_payload(update: ClientUpdate) -> bytes:
             "base_round": update.base_round,
             "params": wire.encode_f64(update.params),
             "sample_count": update.sample_count,
-            "send_time": update.send_time,
         }
     )
 
@@ -197,7 +195,6 @@ def _decode_update(payload: bytes) -> ClientUpdate:
         base_round=msg["base_round"],
         params=wire.decode_f64(msg["params"]),
         sample_count=msg["sample_count"],
-        send_time=msg["send_time"],
     )
 
 
@@ -312,14 +309,13 @@ class _Client:
         if msg["round"] > self.latest.round_index:
             self.latest = GlobalModel(msg["round"], wire.decode_f64(msg["params"]))
 
-    def build_update(self, round_index: int, send_time: float) -> bytes:
-        update = client_local_train(
-            self.client_id, self.latest, round_index, self.part, self.config, send_time
+    def build_update(self, round_index: int) -> bytes:
+        return _update_payload(
+            client_local_train(self.client_id, self.latest, round_index, self.part, self.config)
         )
-        return _update_payload(update)
 
-    def train_and_send(self, round_index: int, send_time: float) -> None:
-        self.broker.publish(self.node, UPDATE_TOPIC, self.build_update(round_index, send_time))
+    def train_and_send(self, round_index: int) -> None:
+        self.broker.publish(self.node, UPDATE_TOPIC, self.build_update(round_index))
 
 
 class _SyncClient(_Client):
@@ -327,7 +323,7 @@ class _SyncClient(_Client):
         super().on_global(env)
         round_index = self.latest.round_index
         if round_index < self.config.rounds:
-            self.train_and_send(round_index, send_time=self.broker.now)
+            self.train_and_send(round_index)
 
 
 def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
@@ -379,7 +375,7 @@ def run_async(
             return
         delay = stragglers.draw_delay(rng)
         # training happens at the cadence tick; only the send is delayed
-        payload = client.build_update(round_index, send_time=broker.now)
+        payload = client.build_update(round_index)
         if delay > 0:
             broker.call_later(
                 delay, lambda: broker.publish(client.node, UPDATE_TOPIC, payload)

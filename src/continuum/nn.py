@@ -73,27 +73,6 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class Batch:
-    """A labelled sample block: features (n, d) and integer class labels (n,)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty 2-D array")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be a vector with one entry per sample")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
-        if self.labels.min(initial=0) < 0:
-            raise ValueError("labels must be non-negative class indices")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
 class Gradients:
     """Per-layer gradients shaped exactly like the model, plus the batch size."""
 
@@ -159,29 +138,29 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def _check_batch(model: MlpModel, batch: Batch) -> None:
-    _check_features(model, batch.features)
-    if batch.labels.max() >= model.num_classes:
-        raise ValueError(
-            f"label {int(batch.labels.max())} out of range for {model.num_classes} classes"
-        )
+def _check_samples(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> None:
+    """Shapes and label range; finiteness is checked once, when a data.Dataset is built."""
+    _check_features(model, features)
+    if features.shape[0] < 1:
+        raise ValueError("features must have at least one row")
+    if labels.shape != (features.shape[0],):
+        raise ValueError(f"labels have shape {labels.shape}; expected ({features.shape[0]},)")
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        raise ValueError(f"labels must lie in [0, {model.num_classes})")
 
 
-def loss(model: MlpModel, batch: Batch) -> float:
+def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy: average over samples of -ln p(true class)."""
-    _check_batch(model, batch)
-    probs = forward(model, batch.features)
-    picked = probs[np.arange(len(batch)), batch.labels]
-    return float(-np.mean(np.log(picked)))
+    return evaluate(model, features, labels).mean_loss
 
 
-def gradient(model: MlpModel, batch: Batch) -> Gradients:
+def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradients:
     """Exact analytic gradient of `loss` with respect to every parameter."""
-    _check_batch(model, batch)
-    pre, acts = _forward_trace(model, batch.features)
-    n = len(batch)
+    _check_samples(model, features, labels)
+    pre, acts = _forward_trace(model, features)
+    n = features.shape[0]
     delta = acts[-1].copy()
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
@@ -227,14 +206,11 @@ class EvalResult:
 
 def evaluate(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> EvalResult:
     """Argmax accuracy (ties -> the lowest class index) and mean cross-entropy."""
-    if features.shape[0] < 1:
-        raise ValueError("cannot evaluate on an empty dataset")
-    batch = Batch(np.asarray(features, dtype=np.float64), np.asarray(labels))
-    _check_batch(model, batch)
-    probs = forward(model, batch.features)
+    _check_samples(model, features, labels)
+    probs = forward(model, features)
     predicted = np.argmax(probs, axis=1)  # np.argmax returns the first (lowest) max index
-    accuracy = float(np.mean(predicted == batch.labels))
-    picked = probs[np.arange(len(batch)), batch.labels]
+    accuracy = float(np.mean(predicted == labels))
+    picked = probs[np.arange(features.shape[0]), labels]
     return EvalResult(accuracy, float(-np.mean(np.log(picked))))
 
 

@@ -272,7 +272,6 @@ def tandem_oracle(
 class PipelineStats:
     mean_sojourn_ms: float
     max_sojourn_ms: float
-    per_item_sojourn_ms: tuple[float, ...]
     per_stage_utilization: dict[str, float] = field(hash=False, default_factory=dict)
 
 
@@ -291,6 +290,5 @@ def pipeline_stats(traces: list[ItemTrace], records: list[StageRecord]) -> Pipel
     return PipelineStats(
         mean_sojourn_ms=float(np.mean(sojourns)),
         max_sojourn_ms=float(max(sojourns)),
-        per_item_sojourn_ms=sojourns,
         per_stage_utilization=utilization,
     )

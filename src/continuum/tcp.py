@@ -19,8 +19,10 @@ connection that sent the frame, on a declared length over the cap (before it
 reads or allocates the body), a version-1 JSON frame, an unknown version or an
 unknown kind.
 
-One reader thread per connection feeds a single dispatch thread, so handlers
-never run concurrently with each other; publishes are acknowledged, giving
+Each node's connection has one reader thread feeding one dispatch thread, so
+one node's handlers run one at a time, in arrival order; handlers of different
+nodes may run concurrently. A handler unsubscribed while a message is being
+dispatched does not receive it. Publishes are acknowledged, giving
 at-least-once delivery within the process lifetime. No retained messages, no
 persistence.
 """
@@ -283,8 +285,12 @@ class _NodeConnection:
             env = Envelope(frame.msg_id, frame.topic, frame.payload, time.time() * 1000.0,
                            frame.sender)
             with self._subs_lock:
-                handlers = [self._handlers[i] for i in self._routes.route(env.topic)]
-            for handler in handlers:
+                local_ids = self._routes.route(env.topic)
+            for local_id in local_ids:
+                with self._subs_lock:  # as on the sim bus, skip a handler unsubscribed meanwhile
+                    handler = self._handlers.get(local_id)
+                if handler is None:
+                    continue
                 try:
                     handler(env)
                 except Exception as exc:  # re-raised by TcpBus.drive
@@ -344,10 +350,6 @@ class TcpBus:
         self._conns: dict[str, _NodeConnection] = {}
         self._lock = threading.Lock()
         self._failures: list[tuple[str, str, Exception]] = []
-
-    @property
-    def now(self) -> float:
-        return time.time() * 1000.0
 
     def _conn(self, node: str) -> _NodeConnection:
         validate_node_id(node)

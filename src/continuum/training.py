@@ -68,8 +68,7 @@ class TrainResult:
 
 def worker_epoch(shard: Dataset, model: nn.MlpModel) -> nn.Gradients:
     """Full-shard gradient; the worker-side computation of one epoch."""
-    batch = nn.Batch(shard.features, shard.labels)
-    return nn.gradient(model, batch)
+    return nn.gradient(model, shard.features, shard.labels)
 
 
 def aggregate_and_step(

@@ -149,11 +149,9 @@ def test_criterion_03_gradient_finite_differences():
         activation = ("sigmoid", "relu", "tanh")[i % 3]
         model = nn.init_model(sizes, activation, seed=i)
         n = int(rng.integers(1, 9))
-        batch = nn.Batch(
-            rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], size=n)
-        )
-        analytic = nn.serialize_gradients(nn.gradient(model, batch))
-        numeric = numerical_gradient(model, batch, h=1e-5)
+        features, labels = rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], size=n)
+        analytic = nn.serialize_gradients(nn.gradient(model, features, labels))
+        numeric = numerical_gradient(model, features, labels, h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-5, sizes
         checked += 1
     elapsed = time.perf_counter() - start
@@ -166,11 +164,11 @@ def test_criterion_03_gradient_finite_differences():
 
 def centralized_reference(job: training.TrainJob):
     model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
-    batch = nn.Batch(job.dataset.features, job.dataset.labels)
+    features, labels = job.dataset.features, job.dataset.labels
     rows = []
     for epoch in range(1, job.epochs + 1):
-        model = nn.sgd_step(model, nn.gradient(model, batch), job.learning_rate)
-        result = nn.evaluate(model, job.dataset.features, job.dataset.labels)
+        model = nn.sgd_step(model, nn.gradient(model, features, labels), job.learning_rate)
+        result = nn.evaluate(model, features, labels)
         rows.append((epoch, result.mean_loss, result.accuracy))
     return model, rows
 

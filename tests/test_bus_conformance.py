@@ -137,6 +137,22 @@ def test_routes_follow_subscription_changes_after_a_topic_was_routed(backend):
     assert [env.payload for env in new] == [b"2", b"s"]
 
 
+def test_handler_unsubscribed_in_flight_is_not_called(backend):
+    calls, handles = [], {}
+
+    def first(env):
+        calls.append("a")
+        backend.bus.unsubscribe(handles["b"])
+
+    handles["a"] = backend.bus.subscribe("fog:n", "conf/u", first)
+    handles["b"] = backend.bus.subscribe("fog:n", "conf/u", lambda env: calls.append("b"))
+    backend.bus.publish("edge:s", "conf/u", b"x")
+    backend.settle(lambda: calls)
+    backend.bus.publish("edge:s", "conf/u", b"y")  # FIFO per node: delivered after any "b"
+    backend.settle(lambda: calls.count("a") == 2)
+    assert calls == ["a", "a"]
+
+
 def test_handler_exception_surfaces_from_drive_at_once(backend):
     seen = []
 

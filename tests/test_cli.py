@@ -97,6 +97,23 @@ def test_unknown_fl_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("dist-train", dict(small_dist_doc(), lr=0), "lr"),
+        ("dist-train", dict(small_dist_doc(), activation="swish"), "activation"),
+        ("fl-run", small_fl_doc(activation="swish"), "activation"),
+    ],
+    ids=["dist-lr-0", "dist-swish", "fl-swish"],
+)
+def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, doc, field):
+    config = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main([command, str(config), "--out", str(out)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["sdp-sim", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 2
 

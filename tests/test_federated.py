@@ -95,9 +95,7 @@ def test_client_identity_when_no_local_work():
     model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
     start = GlobalModel(0, nn.serialize_params(model))
 
-    no_epochs = federated.client_local_train(
-        0, start, 0, part, small_config(local_epochs=0), send_time=1.0
-    )
+    no_epochs = federated.client_local_train(0, start, 0, part, small_config(local_epochs=0))
     assert np.array_equal(no_epochs.params, start.params)
 
     zero_lr = federated.client_local_train(0, start, 0, part, small_config(learning_rate=0.0))
@@ -154,7 +152,8 @@ def test_sync_single_client_matches_solo_training():
     for r in range(config.rounds):
         batch = next_round_batch(part, r, config.samples_per_round)
         for _ in range(config.local_epochs):
-            model = nn.sgd_step(model, nn.gradient(model, batch), config.learning_rate)
+            grads = nn.gradient(model, batch.features, batch.labels)
+            model = nn.sgd_step(model, grads, config.learning_rate)
     np.testing.assert_allclose(
         result.global_model.params, nn.serialize_params(model), atol=1e-9
     )
@@ -306,7 +305,6 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
             "base_round": 0,
             "params": base64.b64encode(row).decode(),
             "sample_count": 1,
-            "send_time": 0.0,
         }
     ).encode()
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, leak)

@@ -12,21 +12,20 @@ def zero_model(layer_sizes, activation="sigmoid"):
     return nn.deserialize_params(layer_sizes, activation, np.zeros(nn.param_count(layer_sizes)))
 
 
-def numerical_gradient(model: nn.MlpModel, batch: nn.Batch, h: float = 1e-5) -> np.ndarray:
+def numerical_gradient(
+    model: nn.MlpModel, features: np.ndarray, labels: np.ndarray, h: float = 1e-5
+) -> np.ndarray:
     """Central finite differences on the flat parameter vector; the oracle for backprop."""
     vec = nn.serialize_params(model)
     out = np.empty_like(vec)
+    sizes, activation = model.layer_sizes, model.hidden_activation
     for i in range(vec.size):
         plus = vec.copy()
         plus[i] += h
         minus = vec.copy()
         minus[i] -= h
-        loss_plus = nn.loss(
-            nn.deserialize_params(model.layer_sizes, model.hidden_activation, plus), batch
-        )
-        loss_minus = nn.loss(
-            nn.deserialize_params(model.layer_sizes, model.hidden_activation, minus), batch
-        )
+        loss_plus = nn.loss(nn.deserialize_params(sizes, activation, plus), features, labels)
+        loss_minus = nn.loss(nn.deserialize_params(sizes, activation, minus), features, labels)
         out[i] = (loss_plus - loss_minus) / (2 * h)
     return out
 
@@ -39,8 +38,9 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric)[mask] / scale[mask]).max())
 
 
-def random_batch(rng, input_dim, num_classes, n=8) -> nn.Batch:
-    return nn.Batch(rng.normal(size=(n, input_dim)), rng.integers(0, num_classes, size=n))
+def random_batch(rng, input_dim, num_classes, n=8) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of n samples."""
+    return rng.normal(size=(n, input_dim)), rng.integers(0, num_classes, size=n)
 
 
 def test_param_count_formula():
@@ -103,20 +103,17 @@ def test_forward_shape_and_row_sums():
 def test_zero_model_loss_is_log_num_classes():
     rng = np.random.default_rng(3)
     batch8 = random_batch(rng, 4, 8)
-    assert nn.loss(zero_model([4, 8]), batch8) == pytest.approx(math.log(8), abs=1e-12)
+    assert nn.loss(zero_model([4, 8]), *batch8) == pytest.approx(math.log(8), abs=1e-12)
     batch4 = random_batch(rng, 4, 4)
-    assert nn.loss(zero_model([4, 4]), batch4) == pytest.approx(math.log(4), abs=1e-12)
+    assert nn.loss(zero_model([4, 4]), *batch4) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_loss_invariant_under_sample_duplication():
     rng = np.random.default_rng(4)
     model = nn.init_model([5, 6, 3], "tanh", seed=2)
-    batch = random_batch(rng, 5, 3, n=6)
-    doubled = nn.Batch(
-        np.concatenate([batch.features, batch.features]),
-        np.concatenate([batch.labels, batch.labels]),
-    )
-    assert nn.loss(model, doubled) == pytest.approx(nn.loss(model, batch), abs=1e-12)
+    features, labels = random_batch(rng, 5, 3, n=6)
+    doubled = (np.concatenate([features, features]), np.concatenate([labels, labels]))
+    assert nn.loss(model, *doubled) == pytest.approx(nn.loss(model, features, labels), abs=1e-12)
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
@@ -124,15 +121,15 @@ def test_gradient_matches_finite_differences(activation):
     rng = np.random.default_rng(11)
     model = nn.init_model([5, 4, 3], activation, seed=7)
     batch = random_batch(rng, 5, 3, n=8)
-    analytic = nn.serialize_gradients(nn.gradient(model, batch))
-    numeric = numerical_gradient(model, batch)
+    analytic = nn.serialize_gradients(nn.gradient(model, *batch))
+    numeric = numerical_gradient(model, *batch)
     assert max_relative_error(analytic, numeric) < 1e-5
 
 
 def test_zero_model_balanced_batch_has_zero_output_bias_gradient():
     features = np.random.default_rng(5).normal(size=(8, 6))
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-    grads = nn.gradient(zero_model([6, 4]), nn.Batch(features, labels))
+    grads = nn.gradient(zero_model([6, 4]), features, labels)
     np.testing.assert_allclose(grads.biases[-1], 0.0, atol=1e-15)
     assert grads.sample_count == 8
 
@@ -142,13 +139,11 @@ def test_gradient_linearity_over_batch_concatenation():
     model = nn.init_model([4, 5, 3], "sigmoid", seed=3)
     b1 = random_batch(rng, 4, 3, n=5)
     b2 = random_batch(rng, 4, 3, n=11)
-    both = nn.Batch(
-        np.concatenate([b1.features, b2.features]), np.concatenate([b1.labels, b2.labels])
-    )
-    g1 = nn.serialize_gradients(nn.gradient(model, b1))
-    g2 = nn.serialize_gradients(nn.gradient(model, b2))
+    both = (np.concatenate([b1[0], b2[0]]), np.concatenate([b1[1], b2[1]]))
+    g1 = nn.serialize_gradients(nn.gradient(model, *b1))
+    g2 = nn.serialize_gradients(nn.gradient(model, *b2))
     combined = (5 * g1 + 11 * g2) / 16
-    full = nn.serialize_gradients(nn.gradient(model, both))
+    full = nn.serialize_gradients(nn.gradient(model, *both))
     np.testing.assert_allclose(combined, full, atol=1e-12)
 
 
@@ -156,8 +151,8 @@ def test_gradient_is_deterministic():
     rng = np.random.default_rng(7)
     model = nn.init_model([6, 4, 3], "relu", seed=8)
     batch = random_batch(rng, 6, 3)
-    a = nn.serialize_gradients(nn.gradient(model, batch))
-    b = nn.serialize_gradients(nn.gradient(model, batch))
+    a = nn.serialize_gradients(nn.gradient(model, *batch))
+    b = nn.serialize_gradients(nn.gradient(model, *batch))
     assert np.array_equal(a, b)
 
 
@@ -179,7 +174,7 @@ def test_sgd_step_identity_cases():
     same = nn.sgd_step(model, zero, 0.5)
     assert np.array_equal(nn.serialize_params(same), nn.serialize_params(model))
     batch = random_batch(np.random.default_rng(0), 3, 2)
-    grads = nn.gradient(model, batch)
+    grads = nn.gradient(model, *batch)
     frozen = nn.sgd_step(model, grads, 0.0)
     assert np.array_equal(nn.serialize_params(frozen), nn.serialize_params(model))
     with pytest.raises(ValueError):
@@ -189,7 +184,7 @@ def test_sgd_step_identity_cases():
 def test_sgd_step_shape_mismatch():
     model = nn.init_model([3, 2], "sigmoid", seed=1)
     other = nn.gradient(
-        nn.init_model([4, 2], "sigmoid", seed=1), random_batch(np.random.default_rng(1), 4, 2)
+        nn.init_model([4, 2], "sigmoid", seed=1), *random_batch(np.random.default_rng(1), 4, 2)
     )
     with pytest.raises(ValueError):
         nn.sgd_step(model, other, 0.1)
@@ -212,6 +207,22 @@ def test_evaluate_rejects_empty():
         nn.evaluate(model, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
+BAD_SAMPLES = {
+    "label -1": (np.zeros((3, 3)), np.array([0, -1, 2])),
+    "label == num_classes": (np.zeros((3, 3)), np.array([0, 4, 2])),
+    "one label too many": (np.zeros((3, 3)), np.array([0, 1, 2, 3])),
+    "zero rows": (np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),
+    "wrong feature width": (np.zeros((3, 2)), np.array([0, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("entry", [nn.loss, nn.gradient, nn.evaluate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", BAD_SAMPLES)
+def test_entry_points_reject_bad_samples(entry, case):
+    with pytest.raises(ValueError):
+        entry(zero_model([3, 4]), *BAD_SAMPLES[case])
+
+
 def test_serialization_round_trip_is_bitwise():
     model = nn.init_model([7, 5, 4, 3], "tanh", seed=13)
     vec = nn.serialize_params(model)
@@ -220,7 +231,7 @@ def test_serialization_round_trip_is_bitwise():
     for w1, w2 in zip(model.weights, back.weights):
         assert np.array_equal(w1, w2)
     rng = np.random.default_rng(13)
-    grads = nn.gradient(model, nn.Batch(rng.normal(size=(9, 7)), rng.integers(0, 3, size=9)))
+    grads = nn.gradient(model, rng.normal(size=(9, 7)), rng.integers(0, 3, size=9))
     flat = nn.serialize_gradients(grads)
     again = nn.deserialize_gradients(model.layer_sizes, flat, grads.sample_count)
     assert nn.serialize_gradients(again).tobytes() == flat.tobytes()
@@ -304,8 +315,8 @@ def test_gradient_matches_finite_differences_random_models(seed):
     activation = ("sigmoid", "relu", "tanh")[int(rng.integers(0, 3))]
     model = nn.init_model(layers, activation, seed=seed)
     batch = random_batch(rng, layers[0], layers[-1], n=int(rng.integers(1, 7)))
-    analytic = nn.serialize_gradients(nn.gradient(model, batch))
-    numeric = numerical_gradient(model, batch)
+    analytic = nn.serialize_gradients(nn.gradient(model, *batch))
+    numeric = numerical_gradient(model, *batch)
     assert max_relative_error(analytic, numeric) < 1e-5
 
 
@@ -315,6 +326,6 @@ def test_small_step_does_not_increase_loss_smoke():
         rng = np.random.default_rng(seed)
         model = nn.init_model([6, 5, 4], "sigmoid", seed=seed)
         batch = random_batch(rng, 6, 4, n=12)
-        before = nn.loss(model, batch)
-        stepped = nn.sgd_step(model, nn.gradient(model, batch), 1e-4)
-        assert nn.loss(stepped, batch) <= before + 1e-12
+        before = nn.loss(model, *batch)
+        stepped = nn.sgd_step(model, nn.gradient(model, *batch), 1e-4)
+        assert nn.loss(stepped, *batch) <= before + 1e-12

@@ -9,11 +9,11 @@ from continuum.data import synth_blobs
 def centralized_oracle(job: training.TrainJob) -> tuple[nn.MlpModel, list[tuple[float, float]]]:
     """Reference single-process full-batch gradient descent with the same seed."""
     model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
-    batch = nn.Batch(job.dataset.features, job.dataset.labels)
+    features, labels = job.dataset.features, job.dataset.labels
     trace = []
     for _ in range(job.epochs):
-        model = nn.sgd_step(model, nn.gradient(model, batch), job.learning_rate)
-        result = nn.evaluate(model, job.dataset.features, job.dataset.labels)
+        model = nn.sgd_step(model, nn.gradient(model, features, labels), job.learning_rate)
+        result = nn.evaluate(model, features, labels)
         trace.append((result.mean_loss, result.accuracy))
     return model, trace
 
@@ -65,15 +65,15 @@ def test_worker_epoch_delegates_to_gradient():
     shard = synth_blobs(30, 6, 3, separation=2.0, seed=1)
     model = nn.init_model((6, 5, 3), "sigmoid", seed=1)
     grads = training.worker_epoch(shard, model)
-    direct = nn.gradient(model, nn.Batch(shard.features, shard.labels))
+    direct = nn.gradient(model, shard.features, shard.labels)
     assert np.array_equal(nn.serialize_gradients(grads), nn.serialize_gradients(direct))
     assert grads.sample_count == 30
 
 
 def test_aggregate_cancellation():
     model = nn.init_model((4, 3), "sigmoid", seed=2)
-    batch = nn.Batch(np.random.default_rng(0).normal(size=(8, 4)), np.zeros(8, dtype=np.int64))
-    grads = nn.gradient(model, batch)
+    features = np.random.default_rng(0).normal(size=(8, 4))
+    grads = nn.gradient(model, features, np.zeros(8, dtype=np.int64))
     negated = nn.Gradients(
         tuple(-w for w in grads.weights), tuple(-b for b in grads.biases), grads.sample_count
     )
@@ -99,7 +99,7 @@ def test_aggregate_equals_full_dataset_gradient():
     shards = partition(dataset, 3, seed=3)
     shard_grads = [(k, training.worker_epoch(shard, model)) for k, shard in enumerate(shards)]
     combined = training.aggregate_and_step(model, shard_grads, 1.0)
-    full = nn.sgd_step(model, nn.gradient(model, nn.Batch(dataset.features, dataset.labels)), 1.0)
+    full = nn.sgd_step(model, nn.gradient(model, dataset.features, dataset.labels), 1.0)
     np.testing.assert_allclose(
         nn.serialize_params(combined), nn.serialize_params(full), atol=1e-12
     )
