@@ -13,7 +13,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Hashable, Protocol
+from typing import Callable, Collection, Hashable, Protocol
 
 log = logging.getLogger("continuum.bus")
 
@@ -154,14 +154,15 @@ class Bus(Protocol):
     `drive(awaiting, timeout_ms)` returns once `awaiting()` is empty. It raises
     the first exception a handler raised, or, when the workload can make no
     more progress (sim: the event queue drained; TCP: `timeout_ms` passed),
-    a RuntimeError naming `sorted(awaiting())`.
+    a RuntimeError naming `sorted(awaiting())`. Handlers run one at a time, and
+    one that raises stops the bus's dispatch.
     """
 
     published: list[Envelope]
 
-    def subscribe(self, node: str, filt: str, handler: Handler) -> Any: ...
+    def subscribe(self, node: str, filt: str, handler: Handler) -> int: ...
 
-    def unsubscribe(self, handle: Any) -> None: ...  # a handle subscribe returned
+    def unsubscribe(self, handle: int) -> None: ...  # a handle subscribe returned
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int: ...
 

@@ -17,7 +17,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, federated, training
+from . import __version__, federated, nn, training
 from .bus import Bus, SimBroker
 from .configs import (
     ConfigError,
@@ -118,15 +118,18 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
 
 def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
     dataset = exp.dataset.build()
-    job = TrainJob(
-        layer_sizes=exp.layer_sizes,
-        hidden_activation=exp.activation,
-        learning_rate=exp.learning_rate,
-        epochs=exp.epochs,
-        num_workers=exp.workers,
-        seed=exp.seed,
-        dataset=dataset,
-    )
+    try:  # every field comes from the config, which may not fit the dataset it built
+        job = TrainJob(
+            layer_sizes=exp.layer_sizes,
+            hidden_activation=exp.activation,
+            learning_rate=exp.learning_rate,
+            epochs=exp.epochs,
+            num_workers=exp.workers,
+            seed=exp.seed,
+            dataset=dataset,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ctx = _BusContext(backend, port)
     try:
         handle = submit_job(job, ctx.bus)
@@ -144,6 +147,10 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
 
 def _execute_fl(exp: FlExperiment, backend: str, port: int):
     dataset = exp.dataset.build()
+    try:
+        nn.check_output_layer(exp.config.layer_sizes, dataset.num_classes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if exp.config.mode == "async":
         if backend != "sim":
             raise ConfigError("fl-run in async mode requires the simulated bus (interval timers)")

@@ -83,7 +83,9 @@ def synth_blobs(
     rng = np.random.default_rng(seed)
     centers = separation * class_directions(num_classes, d, seed)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    features = rng.normal(size=(n, d)) + centers[labels]
+    features = rng.normal(size=(n, d))
+    for c in range(num_classes):  # in place: no second n x d array of centres
+        features[c::num_classes] += centers[c]
     return Dataset(features, labels, num_classes, name)
 
 

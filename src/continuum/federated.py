@@ -327,11 +327,7 @@ class _SyncClient(_Client):
 
 
 def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
-    if dataset.num_classes != config.layer_sizes[-1]:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes but the output layer has "
-            f"{config.layer_sizes[-1]} units"
-        )
+    nn.check_output_layer(config.layer_sizes, dataset.num_classes)
     train, test = split_train_test(dataset)
     return test, partition(train, config.num_clients, config.seed)
 

@@ -37,12 +37,12 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}; expected one of {HIDDEN_ACTIVATIONS}")
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # derivative expressed via pre-activation z and activation a, whichever is cheaper
+def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
+    # derivative expressed via the activation a = f(z); for relu, a > 0 exactly when z > 0
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if name == "tanh":
         return 1.0 - a * a
     raise ValueError(f"unknown activation {name!r}")
@@ -110,6 +110,15 @@ def init_model(
     return MlpModel(sizes, hidden_activation, tuple(weights), tuple(biases))
 
 
+def check_output_layer(layer_sizes: tuple[int, ...], num_classes: int) -> None:
+    """A classifier's output layer has one unit per class of the data it learns."""
+    if layer_sizes[-1] != num_classes:
+        raise ValueError(
+            f"layers end in {layer_sizes[-1]} output units but the dataset has "
+            f"{num_classes} classes"
+        )
+
+
 def _check_features(model: MlpModel, features: np.ndarray) -> None:
     if features.ndim != 2 or features.shape[1] != model.layer_sizes[0]:
         raise ValueError(
@@ -118,24 +127,21 @@ def _check_features(model: MlpModel, features: np.ndarray) -> None:
 
 
 def _forward_trace(model: MlpModel, features: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    pre = []
+    """Forward pass keeping every layer's activations (the input first) for backprop."""
     acts = [np.asarray(features, dtype=np.float64)]
     a = acts[0]
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
-        pre.append(z)
         a = _softmax(z) if l == last else _activate(model.hidden_activation, z)
         acts.append(a)
-    return pre, acts
+    return acts
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per sample; rows sum to 1."""
     _check_features(model, features)
-    _, acts = _forward_trace(model, features)
-    return acts[-1]
+    return _forward_trace(model, features)[-1]
 
 
 def _check_samples(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> None:
@@ -157,7 +163,7 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
 def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradients:
     """Exact analytic gradient of `loss` with respect to every parameter."""
     _check_samples(model, features, labels)
-    pre, acts = _forward_trace(model, features)
+    acts = _forward_trace(model, features)
     n = features.shape[0]
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
@@ -168,9 +174,7 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
         grad_w[l] = acts[l].T @ delta
         grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ model.weights[l].T) * _activate_grad(
-                model.hidden_activation, pre[l - 1], acts[l]
-            )
+            delta = (delta @ model.weights[l].T) * _activate_grad(model.hidden_activation, acts[l])
     return Gradients(tuple(grad_w), tuple(grad_b), n)
 
 

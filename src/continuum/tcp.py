@@ -19,16 +19,19 @@ connection that sent the frame, on a declared length over the cap (before it
 reads or allocates the body), a version-1 JSON frame, an unknown version or an
 unknown kind.
 
-Each node's connection has one reader thread feeding one dispatch thread, so
-one node's handlers run one at a time, in arrival order; handlers of different
-nodes may run concurrently. A handler unsubscribed while a message is being
-dispatched does not receive it. Publishes are acknowledged, giving
-at-least-once delivery within the process lifetime. No retained messages, no
-persistence.
+A TcpBus is one connection that carries every node of its process: one socket,
+one reader thread feeding one dispatch thread. A node is only the sender of the
+PUB and SUB frames it makes, so any number of nodes hold one server connection.
+Handlers run one at a time, in arrival order, as on the simulated broker. A
+handler unsubscribed while a message is being dispatched does not receive it.
+A handler that raises stops the whole bus's dispatch, and `drive` re-raises its
+exception. Publishes are acknowledged, giving at-least-once delivery within the
+process lifetime. No retained messages, no persistence.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import socket
 import struct
@@ -237,28 +240,31 @@ class TcpBrokerServer:
         self._dispatch_thread.join(timeout=2.0)
 
 
-class _NodeConnection:
-    """One node's connection: serialized local dispatch, FIFO publish acks.
+@dataclass
+class TcpBus:
+    """One connection that carries every node of the process, behind the bus.Bus contract.
 
-    The first exception a handler raises is appended to `failures` as
-    (node, topic, exception), and the node dispatches nothing after it.
+    A node is only a name here: it travels as the sender of each PUB and SUB
+    frame. The first exception a handler raises stops all dispatch, and
+    `drive` re-raises it.
     """
 
-    def __init__(self, host: str, port: int, node: str, published: list[Envelope],
-                 failures: list[tuple[str, str, Exception]]):
-        self.node = node
-        self._published = published
-        self._failures = failures
-        self._sock = socket.create_connection((host, port))
+    host: str = "127.0.0.1"
+    port: int = DEFAULT_PORT
+    published: list[Envelope] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._sock = socket.create_connection((self.host, self.port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
         self._call_lock = threading.Lock()  # serializes frame-send + ack-wait pairs
         self._acks: queue.Queue = queue.Queue()
         self._incoming: queue.Queue = queue.Queue()
-        self._handlers: dict[int, Handler] = {}
-        self._routes = RouteTable()  # of local ids; guarded by _subs_lock
+        self._subs: dict[int, tuple[str, Handler]] = {}  # sub_id -> (node, handler)
+        self._routes = RouteTable()  # of sub_ids; guarded by _subs_lock
         self._subs_lock = threading.Lock()
-        self._next_local_sub = 0
+        self._sub_ids = itertools.count(1)
+        self._failure: tuple[str, str, Exception] | None = None
         threading.Thread(target=self._reader_loop, daemon=True).start()
         threading.Thread(target=self._dispatch_loop, daemon=True).start()
 
@@ -285,16 +291,16 @@ class _NodeConnection:
             env = Envelope(frame.msg_id, frame.topic, frame.payload, time.time() * 1000.0,
                            frame.sender)
             with self._subs_lock:
-                local_ids = self._routes.route(env.topic)
-            for local_id in local_ids:
+                sub_ids = self._routes.route(env.topic)
+            for sub_id in sub_ids:
                 with self._subs_lock:  # as on the sim bus, skip a handler unsubscribed meanwhile
-                    handler = self._handlers.get(local_id)
-                if handler is None:
+                    entry = self._subs.get(sub_id)
+                if entry is None:
                     continue
                 try:
-                    handler(env)
-                except Exception as exc:  # re-raised by TcpBus.drive
-                    self._failures.append((self.node, env.topic, exc))
+                    entry[1](env)
+                except Exception as exc:  # re-raised by drive
+                    self._failure = (entry[0], env.topic, exc)
                     return
 
     def _call(self, frame: Frame) -> int:
@@ -305,90 +311,45 @@ class _NodeConnection:
         except queue.Empty:
             raise RuntimeError("broker did not acknowledge within the timeout") from None
 
-    def subscribe(self, filt: str, handler: Handler) -> int:
-        with self._subs_lock:
-            self._next_local_sub += 1
-            local_id = self._next_local_sub
-            self._handlers[local_id] = handler
-            self._routes.add(local_id, filt)
-        with self._call_lock:
-            self._call(Frame(SUB, 0, filt, self.node))
-        return local_id
-
-    def unsubscribe(self, local_id: int) -> None:
-        with self._subs_lock:
-            self._handlers.pop(local_id, None)
-            self._routes.remove(local_id)
-
-    def publish(self, topic: str, payload: bytes) -> int:
-        with self._call_lock:
-            msg_id = self._call(Frame(PUB, 0, topic, self.node, payload))
-            # recorded under the lock, so a close() that follows cannot lose it
-            self._published.append(
-                Envelope(msg_id, topic, bytes(payload), time.time() * 1000.0, self.node))
-        return msg_id
-
-    def close(self) -> None:
-        """Shut the socket once any publish or subscribe in flight has its ack."""
-        with self._call_lock:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
-
-
-@dataclass
-class TcpBus:
-    """Per-node connections behind the bus.Bus contract that the simulated broker also meets."""
-
-    host: str = "127.0.0.1"
-    port: int = DEFAULT_PORT
-    published: list[Envelope] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._conns: dict[str, _NodeConnection] = {}
-        self._lock = threading.Lock()
-        self._failures: list[tuple[str, str, Exception]] = []
-
-    def _conn(self, node: str) -> _NodeConnection:
+    def subscribe(self, node: str, filt: str, handler: Handler) -> int:
         validate_node_id(node)
-        with self._lock:
-            conn = self._conns.get(node)
-            if conn is None:
-                conn = _NodeConnection(self.host, self.port, node, self.published,
-                                       self._failures)
-                self._conns[node] = conn
-            return conn
-
-    def subscribe(self, node: str, filt: str, handler: Handler) -> tuple[str, int]:
         validate_filter(filt)
-        return node, self._conn(node).subscribe(filt, handler)
+        with self._subs_lock:
+            sub_id = next(self._sub_ids)
+            self._subs[sub_id] = (node, handler)
+            self._routes.add(sub_id, filt)
+        with self._call_lock:
+            self._call(Frame(SUB, 0, filt, node))
+        return sub_id
 
-    def unsubscribe(self, handle: tuple[str, int]) -> None:
-        node, local_id = handle
-        with self._lock:
-            conn = self._conns.get(node)
-        if conn is not None:
-            conn.unsubscribe(local_id)
+    def unsubscribe(self, sub_id: int) -> None:
+        with self._subs_lock:
+            self._subs.pop(sub_id, None)
+            self._routes.remove(sub_id)
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int:
+        validate_node_id(sender)
         validate_topic(topic)
         validate_payload(payload)
-        return self._conn(sender).publish(topic, payload)
+        with self._call_lock:
+            msg_id = self._call(Frame(PUB, 0, topic, sender, payload))
+            # recorded under the lock, so a close() that follows cannot lose it
+            self.published.append(
+                Envelope(msg_id, topic, bytes(payload), time.time() * 1000.0, sender))
+        return msg_id
 
     def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
-        """Poll until `awaiting()` is empty; handlers run on bus threads.
+        """Poll until `awaiting()` is empty; handlers run on the bus's dispatch thread.
 
-        Raises the first exception any handler raised as soon as it is seen:
-        the handler's own exception, so both backends raise the same type, with
-        a cause that names the node and the topic it was handling. At the
+        Raises the exception a handler raised as soon as it is seen: the
+        handler's own exception, so both backends raise the same type, with a
+        cause that names the node and the topic it was handling. At the
         timeout, raises a RuntimeError naming what the workload still awaits.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
         while True:
-            if self._failures:
-                node, topic, exc = self._failures[0]
+            if self._failure is not None:
+                node, topic, exc = self._failure
                 raise exc from RuntimeError(f"a handler of {node} raised on topic {topic!r}")
             missing = awaiting()
             if not missing:
@@ -398,8 +359,10 @@ class TcpBus:
             time.sleep(0.001)
 
     def close(self) -> None:
-        with self._lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn in conns:
-            conn.close()
+        """Shut the socket once any publish or subscribe in flight has its ack."""
+        with self._call_lock:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._sock.close()

@@ -46,11 +46,7 @@ class TrainJob:
             raise ValueError(
                 f"{self.num_workers} workers cannot share {len(self.dataset)} samples"
             )
-        if len(self.dataset.labels) and self.dataset.num_classes != self.layer_sizes[-1]:
-            raise ValueError(
-                f"dataset has {self.dataset.num_classes} classes but the output layer "
-                f"has {self.layer_sizes[-1]} units"
-            )
+        nn.check_output_layer(self.layer_sizes, self.dataset.num_classes)
 
 
 @dataclass

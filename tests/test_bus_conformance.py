@@ -173,6 +173,25 @@ def test_handler_exception_surfaces_from_drive_at_once(backend):
         assert "conf/bad" in str(info.value.__cause__)
 
 
+def test_handlers_of_different_nodes_never_overlap(backend):
+    lock, running, peak, done = threading.Lock(), [0], [0], []
+
+    def slow(env):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.2)
+        with lock:
+            running[0] -= 1
+        done.append(env.payload)
+
+    backend.bus.subscribe("fog:a", "conf/slow", slow)
+    backend.bus.subscribe("fog:b", "conf/slow", slow)
+    backend.bus.publish("edge:s", "conf/slow", b"x")
+    backend.settle(lambda: len(done) == 2)
+    assert peak[0] == 1
+
+
 def test_stall_names_what_the_workload_still_awaits(backend):
     with pytest.raises(RuntimeError, match=r"still awaiting \['cloud:never'\]$"):
         backend.bus.drive(lambda: ["cloud:never"], timeout_ms=300)
@@ -242,5 +261,32 @@ def test_tcp_routes_stay_exact_while_nodes_subscribe_concurrently():
         assert all(len({e.msg_id for e in got[k]}) == len(got[k]) for k in got)
     finally:
         sys.setswitchinterval(interval)
+        bus.close()
+        server.close()
+
+
+def test_tcp_nodes_share_one_server_connection_and_add_no_thread():
+    server = TcpBrokerServer(port=0)
+    bus = TcpBus(port=server.port)
+    try:
+        got = []
+
+        def settle(count):
+            deadline = time.monotonic() + 5.0
+            while len(got) < count:
+                assert time.monotonic() < deadline, "a node missed a publish"
+                time.sleep(0.002)
+
+        bus.subscribe("cloud:c", "conf/n/+", got.append)
+        bus.publish("edge:s", "conf/n/x", b"")
+        settle(1)
+        threads = threading.active_count()
+        for k in range(20):
+            bus.subscribe(f"fog:n{k}", f"conf/n/{k}", got.append)
+            bus.publish(f"edge:s{k}", f"conf/n/{k}", b"")
+        settle(41)
+        assert len(server._conns) == 1
+        assert threading.active_count() <= threads
+    finally:
         bus.close()
         server.close()

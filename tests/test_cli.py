@@ -114,6 +114,24 @@ def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("dist-train", small_dist_doc(workers=100), "workers"),
+        ("dist-train", dict(small_dist_doc(), layers=[6, 5, 4]), "layers"),
+        ("fl-run", small_fl_doc(layers=[6, 5, 4]), "layers"),
+    ],
+    ids=["dist-workers-over-samples", "dist-layers-over-classes", "fl-layers-over-classes"],
+)
+def test_config_that_does_not_fit_its_dataset_exits_2(tmp_path, capsys, command, doc, field):
+    config = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main([command, str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["sdp-sim", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 2
 

@@ -212,3 +212,13 @@ def test_dataset_validation():
         data.Dataset(np.array([[np.inf, 0.0]]), np.array([0]), num_classes=2)
     with pytest.raises(ValueError):
         data.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), num_classes=2)
+
+
+def test_synth_blobs_adds_centres_in_place_bit_for_bit():
+    n, d, classes, separation, seed = 3001, 17, 5, 2.5, 11
+    got = data.synth_blobs(n, d, classes, separation, seed)
+    centers = separation * data.class_directions(classes, d, seed)
+    labels = np.arange(n, dtype=np.int64) % classes
+    expected = np.random.default_rng(seed).normal(size=(n, d)) + centers[labels]
+    assert got.features.tobytes() == expected.tobytes()
+    assert np.array_equal(got.labels, labels)
