@@ -17,7 +17,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, federated, nn, training
+from . import __version__, federated
 from .bus import Bus, SimBroker
 from .configs import (
     ConfigError,
@@ -147,8 +147,8 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
 
 def _execute_fl(exp: FlExperiment, backend: str, port: int):
     dataset = exp.dataset.build()
-    try:
-        nn.check_output_layer(exp.config.layer_sizes, dataset.num_classes)
+    try:  # the layers and client count come from the config, which may not fit its dataset
+        federated.check_fit(exp.config, dataset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if exp.config.mode == "async":

@@ -4,7 +4,9 @@ Clients train on streaming fixed-size batches of their own partition and ship
 serialized parameters only; the server aggregates sample-weighted averages.
 Sync mode waits for every client each round; async mode aggregates on a fixed
 virtual-time interval, tolerating missed or delayed updates up to a staleness
-bound. With no straggling the two modes produce identical numbers.
+bound. Both modes close a round with the same aggregation step, and neither
+broadcasts after the last round. With no straggling the two modes produce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class ClientUpdate:
 class GlobalModel:
     round_index: int
     params: np.ndarray
-    contributors: tuple[int, ...] = ()
 
 
 @dataclass
@@ -125,18 +126,7 @@ class FlRunResult:
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
     """Sample-count-weighted parameter mean, summed in ascending client order."""
-    if not updates:
-        raise ValueError("fedavg needs at least one update")
-    length = updates[0].params.shape[0]
-    if any(u.params.shape != (length,) for u in updates):
-        raise ValueError("all updates must carry parameter vectors of equal length")
-    total = sum(u.sample_count for u in updates)
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
-    combined = np.zeros(length)
-    for update in sorted(updates, key=lambda u: u.client_id):
-        combined += (update.sample_count / total) * update.params
-    return combined
+    return nn.weighted_mean([(u.client_id, u.params, u.sample_count) for u in updates])
 
 
 def client_local_train(
@@ -203,7 +193,7 @@ def _global_payload(round_index: int, params: np.ndarray) -> bytes:
 
 
 class _Server:
-    """Shared server state: global params, pending updates, per-round metrics."""
+    """Global params, the freshest update per client, per-round metrics; async runs it as is."""
 
     def __init__(self, config: FlConfig, broker: Bus, test: Dataset):
         self.config = config
@@ -212,7 +202,7 @@ class _Server:
         model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
         self.params = nn.serialize_params(model)
         self.round_index = 0
-        self.contributors: tuple[int, ...] = ()
+        self.contributors = 0  # clients in the latest aggregate
         self.pending: dict[int, ClientUpdate] = {}
         self.rows: list[RoundMetrics] = []
         self.done = False
@@ -225,17 +215,37 @@ class _Server:
         )
         result = nn.evaluate(model, self.test.features, self.test.labels)
         self.rows.append(
-            RoundMetrics(self.round_index, result.accuracy, result.mean_loss, len(self.contributors))
+            RoundMetrics(self.round_index, result.accuracy, result.mean_loss, self.contributors)
         )
 
     def broadcast(self) -> None:
         self.broker.publish(SERVER_NODE, GLOBAL_TOPIC, _global_payload(self.round_index, self.params))
 
     def on_update(self, env: Envelope) -> None:
-        raise NotImplementedError
+        if self.done:
+            return
+        update = _decode_update(env.payload)
+        previous = self.pending.get(update.client_id)
+        if previous is None or update.base_round >= previous.base_round:
+            self.pending[update.client_id] = update  # keep the freshest basis per client
+
+    def aggregate(self) -> None:
+        """Close a round: average the fresh-enough updates, record, broadcast unless done."""
+        oldest = self.round_index - self.config.staleness_bound
+        eligible = [u for u in self.pending.values() if u.base_round >= oldest]
+        self.pending.clear()
+        if eligible:  # an empty async interval keeps the params; the round still advances
+            self.params = fedavg(eligible)
+        self.contributors = len(eligible)
+        self.round_index += 1
+        self._record()
+        if self.round_index < self.config.rounds:
+            self.broadcast()
+        else:
+            self.done = True
 
     def result(self) -> FlRunResult:
-        return FlRunResult(GlobalModel(self.round_index, self.params, self.contributors), self.rows)
+        return FlRunResult(GlobalModel(self.round_index, self.params), self.rows)
 
 
 class _SyncServer(_Server):
@@ -248,50 +258,9 @@ class _SyncServer(_Server):
         return missing or [SERVER_NODE]
 
     def on_update(self, env: Envelope) -> None:
-        if self.done:
-            return
-        update = _decode_update(env.payload)
-        self.pending[update.client_id] = update
-        if len(self.pending) < self.config.num_clients:
-            return
-        updates = [self.pending[k] for k in sorted(self.pending)]
-        self.pending.clear()
-        self.params = fedavg(updates)
-        self.contributors = tuple(u.client_id for u in updates)
-        self.round_index += 1
-        self._record()
-        if self.round_index < self.config.rounds:
-            self.broadcast()
-        else:
-            self.done = True
-
-
-class _AsyncServer(_Server):
-    def on_update(self, env: Envelope) -> None:
-        if self.done:
-            return
-        update = _decode_update(env.payload)
-        previous = self.pending.get(update.client_id)
-        if previous is None or update.base_round >= previous.base_round:
-            self.pending[update.client_id] = update  # keep the freshest basis per client
-
-    def aggregate(self) -> None:
-        eligible = [
-            u
-            for u in self.pending.values()
-            if u.base_round >= self.round_index - self.config.staleness_bound
-        ]
-        self.pending.clear()
-        if eligible:
-            self.params = fedavg(eligible)
-            self.contributors = tuple(u.client_id for u in sorted(eligible, key=lambda u: u.client_id))
-        else:
-            self.contributors = ()  # empty interval: params unchanged, round still advances
-        self.round_index += 1
-        self._record()
-        if self.round_index >= self.config.rounds:
-            self.done = True
-        self.broadcast()
+        super().on_update(env)
+        if len(self.pending) == self.config.num_clients:
+            self.aggregate()
 
 
 class _Client:
@@ -326,8 +295,16 @@ class _SyncClient(_Client):
             self.train_and_send(round_index)
 
 
-def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
+def check_fit(config: FlConfig, dataset: Dataset) -> None:
+    """The output layer matches the dataset's classes; every client gets a training sample."""
     nn.check_output_layer(config.layer_sizes, dataset.num_classes)
+    train_size = len(dataset) - len(dataset) // 2
+    if config.num_clients > train_size:
+        raise ValueError(f"{config.num_clients} clients cannot share {train_size} training samples")
+
+
+def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
+    check_fit(config, dataset)
     train, test = split_train_test(dataset)
     return test, partition(train, config.num_clients, config.seed)
 
@@ -361,7 +338,7 @@ def run_async(
         raise ValueError("async mode runs on the simulated bus only (interval timers)")
     stragglers = stragglers or StragglerModel()
     test, parts = _prepare(config, dataset)
-    server = _AsyncServer(config, broker, test)
+    server = _Server(config, broker, test)
     clients = [_Client(k, config, broker, parts[k]) for k in range(config.num_clients)]
     rngs = [np.random.default_rng([stragglers.seed, k]) for k in range(config.num_clients)]
     interval = config.aggregation_interval_ms

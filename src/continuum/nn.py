@@ -202,6 +202,25 @@ def sgd_step(model: MlpModel, grads: Gradients, learning_rate: float) -> MlpMode
     return MlpModel(model.layer_sizes, model.hidden_activation, weights, biases)
 
 
+def weighted_mean(contributions: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
+    """Sample-count-weighted mean of (id, flat_vector, sample_count), summed in ascending id order.
+
+    The one weighted sum behind both dist-train gradients and FedAvg parameters.
+    """
+    if not contributions:
+        raise ValueError("weighted_mean needs at least one contribution")
+    length = contributions[0][1].shape[0]
+    if any(vector.shape != (length,) for _, vector, _ in contributions):
+        raise ValueError("all contributions must be vectors of equal length")
+    total = sum(count for _, _, count in contributions)
+    if total <= 0:
+        raise ValueError("total sample count must be positive")
+    combined = np.zeros(length)
+    for _, vector, count in sorted(contributions, key=lambda c: c[0]):
+        combined += (count / total) * vector
+    return combined
+
+
 @dataclass(frozen=True)
 class EvalResult:
     accuracy: float

@@ -29,7 +29,7 @@ class Constant:
         if self.ms < 0:
             raise ValueError("service time must be >= 0")
 
-    def draw(self, rng: np.random.Generator, item_id: int) -> float:
+    def draw(self, rng: np.random.Generator) -> float:
         return self.ms
 
 
@@ -42,7 +42,7 @@ class Uniform:
         if self.lo_ms < 0 or self.hi_ms < self.lo_ms:
             raise ValueError("need 0 <= lo_ms <= hi_ms")
 
-    def draw(self, rng: np.random.Generator, item_id: int) -> float:
+    def draw(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo_ms, self.hi_ms))
 
 
@@ -173,7 +173,7 @@ class _StageRuntime:
             item_id, payload, enqueue_ms = self.queue.popleft()
             self.busy += 1
             start = broker.now
-            duration = self.spec.service.draw(self.instance.rng, item_id)
+            duration = self.spec.service.draw(self.instance.rng)
             if self.spec.kind == "serverless_function" and self.spec.cold_start_ms > 0:
                 idle = (
                     None
@@ -209,7 +209,6 @@ class PipelineInstance:
         self.rng = np.random.default_rng(0)
         self.records: list[StageRecord] = []
         self.completions: dict[int, float] = {}
-        self.arrivals: dict[int, float] = {}
         self.stages = [_StageRuntime(s, self) for s in spec.stages]
         for stage in self.stages:
             broker.subscribe(stage.spec.node, stage.spec.input_topic, stage.on_message)
@@ -230,19 +229,15 @@ def run_pipeline(
     instance.rng = np.random.default_rng(seed)
     instance.records.clear()
     instance.completions.clear()
-    instance.arrivals.clear()
     validate_node_id(source_node)
     times = arrivals.times()
     for item_id, t in enumerate(times):
         payload = wire.pack({"item_id": item_id})
-        instance.arrivals[item_id] = float(t)
         broker.call_at(
             t, lambda p=payload: broker.publish(source_node, instance.spec.source_topic, p)
         )
     broker.drive(lambda: [f"item {i}" for i in range(len(times)) if i not in instance.completions])
-    traces = [
-        ItemTrace(i, instance.arrivals[i], instance.completions[i]) for i in range(len(times))
-    ]
+    traces = [ItemTrace(i, t, instance.completions[i]) for i, t in enumerate(times)]
     order = {s.name: i for i, s in enumerate(instance.spec.stages)}
     records = sorted(instance.records, key=lambda r: (r.item_id, order[r.stage]))
     return traces, records

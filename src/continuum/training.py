@@ -17,8 +17,8 @@ from . import nn, wire
 from .bus import Bus
 from .data import Dataset, partition
 
-ASSIGN_TOPIC = "train/{job}/worker/{worker}"
-GRADS_TOPIC = "train/{job}/gradients"
+ASSIGN_TOPIC = "train/job/worker/{worker}"
+GRADS_TOPIC = "train/job/gradients"
 
 COORDINATOR_NODE = "cloud:coordinator"
 WORKER_NODE = "fog:worker-{worker}"
@@ -33,7 +33,6 @@ class TrainJob:
     num_workers: int
     seed: int
     dataset: Dataset
-    name: str = "job"
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -69,23 +68,15 @@ def worker_epoch(shard: Dataset, model: nn.MlpModel) -> nn.Gradients:
 
 def aggregate_and_step(
     model: nn.MlpModel,
-    shard_gradients: list[tuple[int, nn.Gradients]],
+    shard_gradients: list[tuple[int, np.ndarray, int]],
     learning_rate: float,
 ) -> nn.MlpModel:
-    """Combine per-shard gradients by sample weight (ascending worker id) and step."""
-    if not shard_gradients:
-        raise ValueError("no gradients to aggregate")
-    ordered = sorted(shard_gradients, key=lambda pair: pair[0])
-    total = sum(g.sample_count for _, g in ordered)
-    weights = [np.zeros_like(w) for w in model.weights]
-    biases = [np.zeros_like(b) for b in model.biases]
-    for _, grad in ordered:
-        scale = grad.sample_count / total
-        for l in range(len(weights)):
-            weights[l] += scale * grad.weights[l]
-            biases[l] += scale * grad.biases[l]
-    combined = nn.Gradients(tuple(weights), tuple(biases), total)
-    return nn.sgd_step(model, combined, learning_rate)
+    """Step on the sample-weighted mean of (worker_id, flat_grads, sample_count) triples."""
+    mean = nn.weighted_mean(shard_gradients)
+    total = sum(count for _, _, count in shard_gradients)
+    return nn.sgd_step(
+        model, nn.deserialize_gradients(model.layer_sizes, mean, total), learning_rate
+    )
 
 
 class _Worker:
@@ -95,9 +86,7 @@ class _Worker:
         self.broker = broker
         self.shard: Dataset | None = None
         self.node = WORKER_NODE.format(worker=worker_id)
-        broker.subscribe(
-            self.node, ASSIGN_TOPIC.format(job=job.name, worker=worker_id), self.on_message
-        )
+        broker.subscribe(self.node, ASSIGN_TOPIC.format(worker=worker_id), self.on_message)
 
     def on_message(self, env) -> None:
         msg = wire.unpack(env.payload)
@@ -112,7 +101,7 @@ class _Worker:
         grads = worker_epoch(self.shard, model)
         self.broker.publish(
             self.node,
-            GRADS_TOPIC.format(job=self.job.name),
+            GRADS_TOPIC,
             wire.pack(
                 {
                     "worker_id": self.worker_id,
@@ -131,10 +120,10 @@ class _Coordinator:
         self.shards = shards
         self.model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
         self.epoch = 1
-        self.pending: dict[int, nn.Gradients] = {}
+        self.pending: dict[int, tuple[int, np.ndarray, int]] = {}  # worker -> flat gradients
         self.metrics: list[EpochMetrics] = []
         self.done = False
-        broker.subscribe(COORDINATOR_NODE, GRADS_TOPIC.format(job=job.name), self.on_gradient)
+        broker.subscribe(COORDINATOR_NODE, GRADS_TOPIC, self.on_gradient)
 
     def broadcast(self, first: bool) -> None:
         params = wire.encode_f64(nn.serialize_params(self.model))
@@ -149,7 +138,7 @@ class _Coordinator:
                 )
             self.broker.publish(
                 COORDINATOR_NODE,
-                ASSIGN_TOPIC.format(job=self.job.name, worker=k),
+                ASSIGN_TOPIC.format(worker=k),
                 wire.pack(msg),
             )
 
@@ -167,13 +156,11 @@ class _Coordinator:
             raise RuntimeError(
                 f"gradient for epoch {msg['epoch']} arrived during epoch {self.epoch}"
             )
-        grads = nn.deserialize_gradients(
-            self.job.layer_sizes, wire.decode_f64(msg["grads"]), msg["sample_count"]
-        )
-        self.pending[msg["worker_id"]] = grads
+        worker_id = msg["worker_id"]
+        self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), msg["sample_count"])
         if len(self.pending) < self.job.num_workers:
             return
-        gathered = sorted(self.pending.items())
+        gathered = list(self.pending.values())
         self.pending.clear()
         self.model = aggregate_and_step(self.model, gathered, self.job.learning_rate)
         result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)

@@ -120,8 +120,10 @@ def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, 
         ("dist-train", small_dist_doc(workers=100), "workers"),
         ("dist-train", dict(small_dist_doc(), layers=[6, 5, 4]), "layers"),
         ("fl-run", small_fl_doc(layers=[6, 5, 4]), "layers"),
+        ("fl-run", small_fl_doc(clients=200), "clients"),
     ],
-    ids=["dist-workers-over-samples", "dist-layers-over-classes", "fl-layers-over-classes"],
+    ids=["dist-workers-over-samples", "dist-layers-over-classes", "fl-layers-over-classes",
+         "fl-clients-over-samples"],
 )
 def test_config_that_does_not_fit_its_dataset_exits_2(tmp_path, capsys, command, doc, field):
     config = write_config(tmp_path / "c.json", doc)

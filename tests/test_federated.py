@@ -59,6 +59,8 @@ def test_fedavg_errors():
         federated.fedavg([])
     with pytest.raises(ValueError):
         federated.fedavg(updates_from([[0.0, 1.0], [1.0]], [10, 10]))
+    with pytest.raises(ValueError, match="positive"):
+        federated.fedavg(updates_from([[0.0], [1.0]], [0, 0]))
 
 
 def test_fedavg_permutation_invariant_exactly():
@@ -207,8 +209,10 @@ def run_async(config, dataset, stragglers=None):
 
 def test_async_without_straggling_equals_sync():
     dataset = small_dataset()
-    sync_result, _ = run_sync(small_config(rounds=10), dataset)
-    async_result, _ = run_async(small_config(mode="async", rounds=10), dataset)
+    sync_result, sync_broker = run_sync(small_config(rounds=10), dataset)
+    async_result, async_broker = run_async(small_config(mode="async", rounds=10), dataset)
+    for broker in (sync_broker, async_broker):  # no global follows the last round
+        assert sum(env.topic == federated.GLOBAL_TOPIC for env in broker.published) == 10
     assert len(sync_result.rows) == len(async_result.rows)
     for a, b in zip(sync_result.rows, async_result.rows):
         assert a.round == b.round

@@ -256,6 +256,17 @@ def test_deserialize_rejects_wrong_length():
     nn.deserialize_params([512, 32, 8], "sigmoid", np.zeros(16680))
 
 
+def test_weighted_mean_accumulates_in_ascending_id_order():
+    rng = np.random.default_rng(7)
+    vectors = [rng.normal(size=5) for _ in range(4)]
+    counts = [3, 50, 1, 17]
+    expected = np.zeros(5)
+    for k in range(4):  # the contract: ascending id, weight count / total
+        expected += (counts[k] / sum(counts)) * vectors[k]
+    shuffled = [(k, vectors[k], counts[k]) for k in (2, 0, 3, 1)]
+    assert nn.weighted_mean(shuffled).tobytes() == expected.tobytes()
+
+
 def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     """The gather/scatter sigmoid that nn._sigmoid replaced; its bitwise oracle."""
     out = np.empty_like(z)

@@ -31,6 +31,11 @@ def make_job(workers: int, epochs: int = 10, n: int = 120, seed: int = 5) -> tra
     )
 
 
+def flat(worker_id: int, grads: nn.Gradients) -> tuple[int, np.ndarray, int]:
+    """One worker's contribution as aggregate_and_step takes it off the wire."""
+    return worker_id, nn.serialize_gradients(grads), grads.sample_count
+
+
 def run_job(job: training.TrainJob) -> tuple[training.TrainResult, SimBroker]:
     broker = SimBroker()
     handle = training.submit_job(job, broker)
@@ -77,7 +82,7 @@ def test_aggregate_cancellation():
     negated = nn.Gradients(
         tuple(-w for w in grads.weights), tuple(-b for b in grads.biases), grads.sample_count
     )
-    stepped = training.aggregate_and_step(model, [(0, grads), (1, negated)], 0.5)
+    stepped = training.aggregate_and_step(model, [flat(0, grads), flat(1, negated)], 0.5)
     assert np.allclose(
         nn.serialize_params(stepped), nn.serialize_params(model), atol=1e-15
     )
@@ -87,7 +92,7 @@ def test_aggregate_weighted_mean_scalar():
     model = nn.deserialize_params([1, 1], "sigmoid", np.array([1.0, 0.0]))
     g1 = nn.Gradients((np.array([[1.0]]),), (np.array([0.0]),), 100)
     g2 = nn.Gradients((np.array([[2.0]]),), (np.array([0.0]),), 300)
-    stepped = training.aggregate_and_step(model, [(0, g1), (1, g2)], 1.0)
+    stepped = training.aggregate_and_step(model, [flat(0, g1), flat(1, g2)], 1.0)
     assert stepped.weights[0][0, 0] == pytest.approx(1.0 - 1.75, abs=1e-15)
 
 
@@ -97,7 +102,7 @@ def test_aggregate_equals_full_dataset_gradient():
     from continuum.data import partition
 
     shards = partition(dataset, 3, seed=3)
-    shard_grads = [(k, training.worker_epoch(shard, model)) for k, shard in enumerate(shards)]
+    shard_grads = [flat(k, training.worker_epoch(shard, model)) for k, shard in enumerate(shards)]
     combined = training.aggregate_and_step(model, shard_grads, 1.0)
     full = nn.sgd_step(model, nn.gradient(model, dataset.features, dataset.labels), 1.0)
     np.testing.assert_allclose(
@@ -111,7 +116,7 @@ def test_aggregate_is_order_invariant():
     from continuum.data import partition
 
     shards = partition(dataset, 3, seed=4)
-    shard_grads = [(k, training.worker_epoch(shard, model)) for k, shard in enumerate(shards)]
+    shard_grads = [flat(k, training.worker_epoch(shard, model)) for k, shard in enumerate(shards)]
     forward_order = training.aggregate_and_step(model, shard_grads, 0.7)
     reversed_order = training.aggregate_and_step(model, shard_grads[::-1], 0.7)
     np.testing.assert_allclose(
@@ -163,6 +168,14 @@ def test_message_count_per_epoch_is_twice_the_workers():
     assert len(assign) == epochs * workers
     assert len(grads) == epochs * workers
     assert len(assign) + len(grads) == epochs * 2 * workers
+
+
+def test_coordinator_deserializes_gradients_once_per_epoch(monkeypatch):
+    calls = []
+    original = nn.deserialize_gradients
+    monkeypatch.setattr(nn, "deserialize_gradients", lambda *a: calls.append(1) or original(*a))
+    run_job(make_job(3, epochs=4))
+    assert len(calls) == 4
 
 
 def test_run_is_deterministic():
