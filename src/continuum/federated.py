@@ -225,6 +225,14 @@ class _Server:
         if self.done:
             return
         update = _decode_update(env.payload)
+        client_id = update.client_id
+        if type(client_id) is not int or not 0 <= client_id < self.config.num_clients:
+            raise RuntimeError(f"{env.sender}: update names unknown client_id {client_id!r}")
+        if update.sample_count < 1:
+            raise RuntimeError(
+                f"{env.sender}: update of client {client_id} has sample_count "
+                f"{update.sample_count} < 1"
+            )
         previous = self.pending.get(update.client_id)
         if previous is None or update.base_round >= previous.base_round:
             self.pending[update.client_id] = update  # keep the freshest basis per client
@@ -377,11 +385,12 @@ def privacy_violations(
 ) -> list[str]:
     """Structural scan of an FL trace: parameters and counts only, no raw data.
 
-    Checks every published envelope against the two wire schemas and, when a
-    dataset is given, searches decoded payload blobs for raw feature-row bytes.
+    Checks every published envelope's header keys against the two wire schemas
+    and its `params` blob for a whole number of float64s, and, when a dataset is
+    given, searches every raw payload for the bytes of sampled feature rows.
+    Reports every problem; raises on none.
     """
     issues: list[str] = []
-    blobs: list[bytes] = []
     for env in envelopes:
         if env.topic == GLOBAL_TOPIC:
             allowed = _GLOBAL_KEYS
@@ -392,20 +401,21 @@ def privacy_violations(
             continue
         try:
             msg = wire.unpack(env.payload)
-        except Exception:
-            issues.append(f"msg {env.msg_id}: payload is not a JSON object")
+        except ValueError as exc:
+            issues.append(f"msg {env.msg_id}: payload is not a JSON header plus blobs: {exc}")
             continue
         if set(msg) != allowed:
             issues.append(
                 f"msg {env.msg_id} on {env.topic}: keys {sorted(msg)} != {sorted(allowed)}"
             )
-            continue
-        blobs.append(wire.decode_f64(msg["params"]).tobytes())
+        elif not isinstance(msg["params"], memoryview) or len(msg["params"]) % 8:
+            issues.append(
+                f"msg {env.msg_id} on {env.topic}: params is not a whole number of float64s"
+            )
     if dataset is not None:
         step = max(1, len(dataset) // sample_rows)
-        corpus = b"".join(blobs)
         for i in range(0, len(dataset), step):
             row = np.ascontiguousarray(dataset.features[i], dtype="<f8").tobytes()
-            if row in corpus:
+            if any(row in env.payload for env in envelopes):
                 issues.append(f"raw bytes of sample {i} appear in a published payload")
     return issues

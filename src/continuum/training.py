@@ -154,10 +154,20 @@ class _Coordinator:
         msg = wire.unpack(env.payload)
         if msg["epoch"] != self.epoch:
             raise RuntimeError(
-                f"gradient for epoch {msg['epoch']} arrived during epoch {self.epoch}"
+                f"{env.sender}: gradient for epoch {msg['epoch']} arrived during epoch {self.epoch}"
             )
-        worker_id = msg["worker_id"]
-        self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), msg["sample_count"])
+        worker_id, sample_count = msg["worker_id"], msg["sample_count"]
+        if type(worker_id) is not int or not 0 <= worker_id < self.job.num_workers:
+            raise RuntimeError(f"{env.sender}: gradient names unknown worker_id {worker_id!r}")
+        if worker_id in self.pending:
+            raise RuntimeError(
+                f"{env.sender}: second gradient for worker {worker_id} in epoch {self.epoch}"
+            )
+        if sample_count < 1:
+            raise RuntimeError(
+                f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
+            )
+        self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), sample_count)
         if len(self.pending) < self.job.num_workers:
             return
         gathered = list(self.pending.values())

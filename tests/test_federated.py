@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum import federated, nn
+from continuum import federated, nn, wire
 from continuum.bus import SimBroker
 from continuum.data import next_round_batch, partition, synth_blobs
 from continuum.federated import ClientUpdate, FlConfig, GlobalModel, StragglerModel
@@ -299,18 +299,15 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     broker = SimBroker()
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, b"{not json")
     row = np.ascontiguousarray(dataset.features[0], dtype="<f8").tobytes()
-    import base64
-    import json
-
-    leak = json.dumps(
+    leak = wire.pack(
         {
             "type": "update",
             "client_id": 0,
             "base_round": 0,
-            "params": base64.b64encode(row).decode(),
+            "params": row,
             "sample_count": 1,
         }
-    ).encode()
+    )
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, leak)
     broker.publish("fog:client-0", "other/topic", b"{}")
     issues = federated.privacy_violations(broker.published, dataset)
@@ -318,6 +315,72 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     assert any("not a JSON" in i for i in issues)
     assert any("sample 0" in i for i in issues)
     assert any("unexpected topic" in i for i in issues)
+
+
+def test_privacy_scan_finds_a_row_inside_the_params_of_a_well_formed_update():
+    dataset = small_dataset()
+    _, broker = run_sync(small_config(rounds=2), dataset)
+    update = next(e for e in broker.published if e.topic == federated.UPDATE_TOPIC)
+    msg = wire.unpack(update.payload)
+    params = bytes(msg["params"])
+    row = np.ascontiguousarray(dataset.features[4], dtype="<f8").tobytes()
+    msg["params"] = params[:16] + row + params[16 + len(row):]  # same length, keys intact
+    traffic = SimBroker()
+    traffic.publish(update.sender, federated.UPDATE_TOPIC, wire.pack(msg))
+    assert federated.privacy_violations(traffic.published) == []
+    assert federated.privacy_violations(traffic.published, dataset, sample_rows=240) == [
+        "raw bytes of sample 4 appear in a published payload"
+    ]
+
+
+def test_privacy_scan_reports_params_that_are_not_whole_float64s():
+    broker = SimBroker()
+    for params in (b"\x00" * 12, "AAAAAAAAAAA="):  # a torn blob; a base64 string field
+        broker.publish("fog:client-0", federated.UPDATE_TOPIC, wire.pack(
+            {"type": "update", "client_id": 0, "base_round": 0, "params": params,
+             "sample_count": 1}))
+    issues = federated.privacy_violations(broker.published, small_dataset())
+    assert issues == [
+        f"msg {env.msg_id} on fl/updates: params is not a whole number of float64s"
+        for env in broker.published
+    ]
+
+
+# --- stray contributions ---
+
+
+class StrayUpdateBroker(SimBroker):
+    """Slips one foreign update onto the bus right after the first global broadcast."""
+
+    def __init__(self, stray: bytes):
+        super().__init__()
+        self.stray = stray
+
+    def publish(self, sender, topic, payload):
+        msg_id = super().publish(sender, topic, payload)
+        if self.stray and topic == federated.GLOBAL_TOPIC:
+            stray, self.stray = self.stray, b""
+            super().publish("fog:rogue", federated.UPDATE_TOPIC, stray)
+        return msg_id
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize(
+    "client_id, sample_count, cause",
+    [
+        (99, 10, r"^fog:rogue: update names unknown client_id 99$"),
+        (0, 0, r"^fog:rogue: update of client 0 has sample_count 0 < 1$"),
+    ],
+    ids=["unknown-client", "zero-samples"],
+)
+def test_server_rejects_a_stray_update_naming_its_sender(mode, client_id, sample_count, cause):
+    config = small_config(mode=mode, rounds=3)
+    params = nn.serialize_params(nn.init_model(config.layer_sizes, config.hidden_activation, 0))
+    stray = federated._update_payload(ClientUpdate(client_id, 0, params, sample_count))
+    broker = StrayUpdateBroker(stray)
+    run = federated.run_sync if mode == "sync" else federated.run_async
+    with pytest.raises(RuntimeError, match=cause):
+        run(config, broker, small_dataset())
 
 
 # --- config validation ---

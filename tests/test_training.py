@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from continuum import nn, training
+from continuum import nn, training, wire
 from continuum.bus import SimBroker
 from continuum.data import synth_blobs
 
@@ -206,4 +206,28 @@ def test_stall_names_the_workers_that_did_not_report():
     broker = LosingBroker(lost_sender=training.WORKER_NODE.format(worker=1))
     handle = training.submit_job(make_job(3, epochs=2), broker)
     with pytest.raises(RuntimeError, match=r"still awaiting \['fog:worker-1'\]$"):
+        training.run_training(handle)
+
+
+@pytest.mark.parametrize(
+    "worker_id, sample_count, copies, cause",
+    [
+        (7, 0, 1, r"^fog:rogue: gradient names unknown worker_id 7$"),
+        (0, 40, 2, r"^fog:rogue: second gradient for worker 0 in epoch 1$"),
+        (0, 0, 1, r"^fog:rogue: gradient of worker 0 has sample_count 0 < 1$"),
+    ],
+    ids=["unknown-worker", "duplicate", "zero-samples"],
+)
+def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
+    worker_id, sample_count, copies, cause
+):
+    job = make_job(2, epochs=2)
+    size = len(nn.serialize_params(nn.init_model(job.layer_sizes, job.hidden_activation, 0)))
+    stray = wire.pack({"worker_id": worker_id, "epoch": 1, "sample_count": sample_count,
+                       "grads": wire.encode_f64(np.zeros(size))})
+    broker = SimBroker()
+    handle = training.submit_job(job, broker)
+    for _ in range(copies):  # queued ahead of the real workers' gradients
+        broker.publish("fog:rogue", training.GRADS_TOPIC, stray)
+    with pytest.raises(RuntimeError, match=cause):
         training.run_training(handle)
