@@ -7,8 +7,13 @@ Two artifacts are produced:
   - fl_sync_reference.json: the full per-round accuracy/loss curve of the
     bundled synchronous federated run, with its seed.
 
-Run from the repository root. Output changes only when the underlying
-numerics change, which is exactly what the acceptance suite should catch.
+Run from the repository root. The last digits of the output depend on the
+NumPy build, its BLAS library and the CPU, not only on continuum's numerics:
+with OpenBLAS 0.3.31 on a 2-core x86-64 machine, a refreeze of an unchanged
+tree rewrote the last digits of 31 losses in fl_sync_reference.json. The
+acceptance suite therefore compares the frozen curve at an absolute tolerance
+of 1e-9, and a diff in the last digits after a refreeze is not by itself a
+change in the numerics.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def _parse_experiment(kind: str, doc, seed_override: int | None, config_dir: Pat
 
 def _write_outputs(
     out_dir: Path, kind: str, resolved: dict, seed: int, files: dict[str, bytes],
-    started: str, finished: str,
+    started: str, finished: str, bus: str,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -202,6 +202,7 @@ def _write_outputs(
         )
     manifest = {
         "kind": kind,
+        "bus": bus,  # how the run was made, not what it computes: outside config_sha256
         "tool_version": __version__,
         "seed": seed,
         "config": resolved,
@@ -252,7 +253,7 @@ def _run_experiment(kind: str, args) -> int:
     out_dir = Path(args.out)
     try:
         _write_outputs(out_dir, kind, _resolved_doc(doc, seed, exp), seed, files, started,
-                       _utc_now())
+                       _utc_now(), args.bus)
     except OSError as exc:
         print(f"runtime error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -294,6 +295,9 @@ def _replay_check(args) -> int:
     except ConfigError as exc:
         print(f"config error: manifest config invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    bus = manifest.get("bus", "sim")
+    if bus != "sim":
+        print(f"the run used the {bus} bus; replaying it on the sim bus")
     try:
         files, _summary = _KINDS[kind][1](exp, "sim", 0)
     except Exception as exc:  # noqa: BLE001

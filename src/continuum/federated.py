@@ -228,6 +228,11 @@ class _Server:
         client_id = update.client_id
         if type(client_id) is not int or not 0 <= client_id < self.config.num_clients:
             raise RuntimeError(f"{env.sender}: update names unknown client_id {client_id!r}")
+        expected = CLIENT_NODE.format(client=client_id)
+        if env.sender != expected:
+            raise RuntimeError(
+                f"{env.sender}: update names client {client_id}, which only {expected} may send"
+            )
         if update.sample_count < 1:
             raise RuntimeError(
                 f"{env.sender}: update of client {client_id} has sample_count "

@@ -1,9 +1,13 @@
 """Dense feedforward classifier: softmax output, mean cross-entropy, exact backprop.
 
 Everything here is a pure function of its inputs; models are immutable and
-updates return new models. All math is float64. The flat parameter layout
-(layer 0 weights row-major, layer 0 biases, layer 1 weights, ...) is a frozen
-wire format: reordering it breaks every serialized model in flight.
+updates return new models. All math is float64. Each layer allocates one
+array, its matmul output, and adds the bias and applies the activation or the
+softmax in place on it; backprop likewise overwrites only arrays it allocated.
+Nothing here writes to the caller's features or labels, or to a model or
+gradient array. The flat parameter layout (layer 0 weights row-major, layer 0
+biases, layer 1 weights, ...) is a frozen wire format: reordering it breaks
+every serialized model in flight.
 """
 
 from __future__ import annotations
@@ -15,43 +19,51 @@ import numpy as np
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows.
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(min(z, 0)) / (1 + exp(-|z|)): exp never overflows, and no per-element select.
+
+    Bit for bit 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below. `out` may be z.
+    """
     # min(z, -z) is -|z|, but keeps the sign of a NaN z (np.minimum returns the first NaN).
-    e = np.negative(z)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    out /= e
+    denom = np.negative(z)
+    np.minimum(z, denom, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    out = np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= denom
     return out
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_in_place(name: str, z: np.ndarray) -> None:
     if name == "sigmoid":
-        return _sigmoid(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    raise ValueError(f"unknown activation {name!r}; expected one of {HIDDEN_ACTIVATIONS}")
+        _sigmoid(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
+    else:
+        raise ValueError(f"unknown activation {name!r}; expected one of {HIDDEN_ACTIVATIONS}")
 
 
-def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
-    # derivative expressed via the activation a = f(z); for relu, a > 0 exactly when z > 0
+def _activate_grad_in_place(name: str, a: np.ndarray) -> np.ndarray:
+    """f'(z) written over the activation a = f(z), which backprop no longer needs."""
     if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "relu":
-        return (a > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    raise ValueError(f"unknown activation {name!r}")
+        a *= 1.0 - a
+    elif name == "relu":
+        np.greater(a, 0.0, out=a)  # a > 0 exactly when z > 0; stored as 1.0 or 0.0
+    elif name == "tanh":
+        a *= a
+        np.subtract(1.0, a, out=a)
+    else:
+        raise ValueError(f"unknown activation {name!r}")
+    return a
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows_in_place(z: np.ndarray) -> None:
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -126,22 +138,32 @@ def _check_features(model: MlpModel, features: np.ndarray) -> None:
         )
 
 
-def _forward_trace(model: MlpModel, features: np.ndarray):
+def _layer(model: MlpModel, l: int, a: np.ndarray) -> np.ndarray:
+    """Layer l's output for input a: the matmul allocates it, every later step writes into it."""
+    z = a @ model.weights[l]
+    z += model.biases[l]
+    if l == len(model.weights) - 1:
+        _softmax_rows_in_place(z)
+    else:
+        _activate_in_place(model.hidden_activation, z)
+    return z
+
+
+def _forward_trace(model: MlpModel, features: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping every layer's activations (the input first) for backprop."""
     acts = [np.asarray(features, dtype=np.float64)]
-    a = acts[0]
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = _softmax(z) if l == last else _activate(model.hidden_activation, z)
-        acts.append(a)
+    for l in range(len(model.weights)):
+        acts.append(_layer(model, l, acts[-1]))
     return acts
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per sample; rows sum to 1."""
     _check_features(model, features)
-    return _forward_trace(model, features)[-1]
+    a = np.asarray(features, dtype=np.float64)
+    for l in range(len(model.weights)):
+        a = _layer(model, l, a)
+    return a
 
 
 def _check_samples(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> None:
@@ -165,7 +187,7 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
     _check_samples(model, features, labels)
     acts = _forward_trace(model, features)
     n = features.shape[0]
-    delta = acts[-1].copy()
+    delta = acts[-1]  # the probabilities; nothing else reads them
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
@@ -174,7 +196,8 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
         grad_w[l] = acts[l].T @ delta
         grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ model.weights[l].T) * _activate_grad(model.hidden_activation, acts[l])
+            delta = delta @ model.weights[l].T
+            delta *= _activate_grad_in_place(model.hidden_activation, acts[l])
     return Gradients(tuple(grad_w), tuple(grad_b), n)
 
 

@@ -159,6 +159,11 @@ class _Coordinator:
         worker_id, sample_count = msg["worker_id"], msg["sample_count"]
         if type(worker_id) is not int or not 0 <= worker_id < self.job.num_workers:
             raise RuntimeError(f"{env.sender}: gradient names unknown worker_id {worker_id!r}")
+        expected = WORKER_NODE.format(worker=worker_id)
+        if env.sender != expected:
+            raise RuntimeError(
+                f"{env.sender}: gradient names worker {worker_id}, which only {expected} may send"
+            )
         if worker_id in self.pending:
             raise RuntimeError(
                 f"{env.sender}: second gradient for worker {worker_id} in epoch {self.epoch}"

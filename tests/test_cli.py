@@ -230,6 +230,23 @@ def test_dist_train_over_tcp_matches_sim(tmp_path):
         assert float(rt[1]) == pytest.approx(float(rs[1]), abs=1e-9)
 
 
+def test_manifest_records_the_bus_outside_the_config_hash(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", small_dist_doc(epochs=2))
+    out_sim, out_tcp = tmp_path / "sim", tmp_path / "tcp"
+    assert main(["dist-train", str(config), "--out", str(out_sim)]) == 0
+    assert main(["dist-train", str(config), "--out", str(out_tcp), "--bus", "tcp",
+                 "--bus-port", "0"]) == 0
+    sim = json.loads((out_sim / "manifest.json").read_text())
+    tcp = json.loads((out_tcp / "manifest.json").read_text())
+    assert (sim["bus"], tcp["bus"]) == ("sim", "tcp")
+    assert sim["config_sha256"] == tcp["config_sha256"]
+    capsys.readouterr()
+    assert main(["replay-check", str(out_tcp / "manifest.json")]) == 0
+    assert "the run used the tcp bus; replaying it on the sim bus" in capsys.readouterr().out
+    assert main(["replay-check", str(out_sim / "manifest.json")]) == 0
+    assert "replaying it on the sim bus" not in capsys.readouterr().out
+
+
 def test_fl_sync_over_tcp(tmp_path):
     config = write_config(tmp_path / "c.json", small_fl_doc("sync", rounds=3))
     out = tmp_path / "out"

@@ -352,32 +352,37 @@ def test_privacy_scan_reports_params_that_are_not_whole_float64s():
 class StrayUpdateBroker(SimBroker):
     """Slips one foreign update onto the bus right after the first global broadcast."""
 
-    def __init__(self, stray: bytes):
+    def __init__(self, sender: str, stray: bytes):
         super().__init__()
+        self.sender = sender
         self.stray = stray
 
     def publish(self, sender, topic, payload):
         msg_id = super().publish(sender, topic, payload)
         if self.stray and topic == federated.GLOBAL_TOPIC:
             stray, self.stray = self.stray, b""
-            super().publish("fog:rogue", federated.UPDATE_TOPIC, stray)
+            super().publish(self.sender, federated.UPDATE_TOPIC, stray)
         return msg_id
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 @pytest.mark.parametrize(
-    "client_id, sample_count, cause",
+    "sender, client_id, sample_count, cause",
     [
-        (99, 10, r"^fog:rogue: update names unknown client_id 99$"),
-        (0, 0, r"^fog:rogue: update of client 0 has sample_count 0 < 1$"),
+        ("fog:rogue", 99, 10, r"^fog:rogue: update names unknown client_id 99$"),
+        ("fog:client-0", 0, 0, r"^fog:client-0: update of client 0 has sample_count 0 < 1$"),
+        ("fog:rogue", 0, 10,
+         r"^fog:rogue: update names client 0, which only fog:client-0 may send$"),
     ],
-    ids=["unknown-client", "zero-samples"],
+    ids=["unknown-client", "zero-samples", "impostor"],
 )
-def test_server_rejects_a_stray_update_naming_its_sender(mode, client_id, sample_count, cause):
+def test_server_rejects_a_stray_update_naming_its_sender(
+    mode, sender, client_id, sample_count, cause
+):
     config = small_config(mode=mode, rounds=3)
     params = nn.serialize_params(nn.init_model(config.layer_sizes, config.hidden_activation, 0))
     stray = federated._update_payload(ClientUpdate(client_id, 0, params, sample_count))
-    broker = StrayUpdateBroker(stray)
+    broker = StrayUpdateBroker(sender, stray)
     run = federated.run_sync if mode == "sync" else federated.run_async
     with pytest.raises(RuntimeError, match=cause):
         run(config, broker, small_dataset())

@@ -293,7 +293,85 @@ def test_sigmoid_is_bitwise_the_masked_formula(shape, seed, scale, specials):
     z = rng.normal(scale=scale, size=shape)
     flat = z.reshape(-1)
     flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
-    assert nn._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    kept, expected = z.tobytes(), masked_sigmoid(z).tobytes()
+    assert nn._sigmoid(z).tobytes() == expected
+    assert z.tobytes() == kept  # without out=, the input is left as it was
+    assert nn._sigmoid(z, out=z) is z and z.tobytes() == expected
+
+
+def oracle_trace(model: nn.MlpModel, features: np.ndarray) -> list[np.ndarray]:
+    """The out-of-place forward pass that nn's in-place layers replaced; their bitwise oracle."""
+    activate = {"sigmoid": masked_sigmoid, "relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+    acts = [features]
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        if l == last:
+            shifted = z - z.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            acts.append(e / e.sum(axis=1, keepdims=True))
+        else:
+            acts.append(activate[model.hidden_activation](z))
+    return acts
+
+
+def oracle_gradient(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Backprop with a fresh array per step, flattened in the canonical order."""
+    activate_grad = {
+        "sigmoid": lambda a: a * (1.0 - a),
+        "relu": lambda a: (a > 0.0).astype(np.float64),
+        "tanh": lambda a: 1.0 - a * a,
+    }[model.hidden_activation]
+    acts = oracle_trace(model, features)
+    n = features.shape[0]
+    delta = acts[-1].copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    parts = []
+    for l in range(len(model.weights) - 1, -1, -1):
+        parts[:0] = [(acts[l].T @ delta).ravel(), delta.sum(axis=0)]
+        if l > 0:
+            delta = (delta @ model.weights[l].T) * activate_grad(acts[l])
+    return np.concatenate(parts)
+
+
+def snapshot(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> list[bytes]:
+    return [arr.tobytes() for arr in (features, labels, *model.weights, *model.biases)]
+
+
+@given(
+    activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+    layers=st.lists(st.integers(1, 256), min_size=2, max_size=4),
+    rows=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 1.0, 40.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_in_place_layers_are_bitwise_the_out_of_place_formulas(
+    activation, layers, rows, seed, scale
+):
+    rng = np.random.default_rng(seed)
+    model = nn.deserialize_params(
+        layers, activation, rng.normal(scale=scale, size=nn.param_count(layers))
+    )
+    features = rng.normal(scale=scale, size=(rows, layers[0]))
+    labels = rng.integers(0, layers[-1], size=rows)
+    before = snapshot(model, features, labels)
+    probs = oracle_trace(model, features)[-1]
+
+    assert nn.forward(model, features).tobytes() == probs.tobytes()
+    assert snapshot(model, features, labels) == before
+
+    with np.errstate(divide="ignore"):  # a large scale can underflow a true-class probability
+        result = nn.evaluate(model, features, labels)
+        mean_loss = float(-np.mean(np.log(probs[np.arange(rows), labels])))
+    assert result.accuracy == float(np.mean(np.argmax(probs, axis=1) == labels))
+    assert result.mean_loss == mean_loss
+    assert snapshot(model, features, labels) == before
+
+    grads = nn.serialize_gradients(nn.gradient(model, features, labels))
+    assert grads.tobytes() == oracle_gradient(model, features, labels).tobytes()
+    assert snapshot(model, features, labels) == before
 
 
 layer_sizes_strategy = st.lists(st.integers(1, 6), min_size=2, max_size=4)

@@ -210,16 +210,18 @@ def test_stall_names_the_workers_that_did_not_report():
 
 
 @pytest.mark.parametrize(
-    "worker_id, sample_count, copies, cause",
+    "sender, worker_id, sample_count, copies, cause",
     [
-        (7, 0, 1, r"^fog:rogue: gradient names unknown worker_id 7$"),
-        (0, 40, 2, r"^fog:rogue: second gradient for worker 0 in epoch 1$"),
-        (0, 0, 1, r"^fog:rogue: gradient of worker 0 has sample_count 0 < 1$"),
+        ("fog:rogue", 7, 0, 1, r"^fog:rogue: gradient names unknown worker_id 7$"),
+        ("fog:worker-0", 0, 40, 2, r"^fog:worker-0: second gradient for worker 0 in epoch 1$"),
+        ("fog:worker-0", 0, 0, 1, r"^fog:worker-0: gradient of worker 0 has sample_count 0 < 1$"),
+        ("fog:rogue", 0, 40, 1,
+         r"^fog:rogue: gradient names worker 0, which only fog:worker-0 may send$"),
     ],
-    ids=["unknown-worker", "duplicate", "zero-samples"],
+    ids=["unknown-worker", "duplicate", "zero-samples", "impostor"],
 )
 def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
-    worker_id, sample_count, copies, cause
+    sender, worker_id, sample_count, copies, cause
 ):
     job = make_job(2, epochs=2)
     size = len(nn.serialize_params(nn.init_model(job.layer_sizes, job.hidden_activation, 0)))
@@ -228,6 +230,6 @@ def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
     broker = SimBroker()
     handle = training.submit_job(job, broker)
     for _ in range(copies):  # queued ahead of the real workers' gradients
-        broker.publish("fog:rogue", training.GRADS_TOPIC, stray)
+        broker.publish(sender, training.GRADS_TOPIC, stray)
     with pytest.raises(RuntimeError, match=cause):
         training.run_training(handle)
