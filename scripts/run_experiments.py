@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the three bundled experiments end to end and verify replayability.
+"""Run the four bundled experiments end to end and verify replayability.
 
 Writes results to out/<experiment>/ in the current directory:
   - iiot_surveillance: the staged surveillance pipeline (items.csv, stages.csv)

@@ -40,12 +40,22 @@ def _int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def _num(value, where: str, minimum: float | None = None) -> float:
+def _num(value, where: str, minimum: float | None = None, maximum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {value}")
     return float(value)
+
+
+def _range(pair, where: str) -> tuple[float, float]:
+    """A JSON [lo, hi] with 0 <= lo <= hi."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{where}: expected [lo, hi]")
+    lo = _num(pair[0], f"{where}[0]", 0.0)
+    return lo, _num(pair[1], f"{where}[1]", lo)
 
 
 def _str(value, where: str) -> str:
@@ -108,6 +118,9 @@ def parse_dataset(doc, where: str = "dataset", config_dir: Path | None = None) -
                                f"{where}.synth.separation", 0.0),
             "seed": _int(_require(s, "seed", f"{where}.synth"), f"{where}.synth.seed", 0),
         }
+        if spec["n"] < spec["classes"]:
+            raise ConfigError(f"{where}.synth.n: must be >= classes ({spec['classes']}), "
+                              f"got {spec['n']}")
         return DatasetConfig(synth=spec)
     c = doc["csv"]
     if not isinstance(c, dict):
@@ -124,8 +137,11 @@ def parse_dataset(doc, where: str = "dataset", config_dir: Path | None = None) -
                              f"{where}.csv.label_column", 0),
         "num_classes": _int(_require(c, "num_classes", f"{where}.csv"),
                             f"{where}.csv.num_classes", 2),
-        "has_header": bool(c.get("has_header", False)),
+        "has_header": c.get("has_header", False),
     }
+    if not isinstance(spec["has_header"], bool):
+        raise ConfigError(f"{where}.csv.has_header: expected true or false, "
+                          f"got {spec['has_header']!r}")
     return DatasetConfig(csv=spec)
 
 
@@ -149,15 +165,20 @@ def parse_sdp(doc: dict, seed_override: int | None = None) -> SdpExperiment:
     if not isinstance(arrivals_doc, dict):
         raise ConfigError("arrivals: expected an object")
     _reject_unknown(arrivals_doc, {"count", "interval_ms", "times_ms"}, "arrivals")
+    if "times_ms" in arrivals_doc:
+        times = arrivals_doc["times_ms"]
+        if not isinstance(times, list):
+            raise ConfigError(f"arrivals.times_ms: expected an array of times, got {times!r}")
+        schedule = {"times_ms": tuple(_num(t, f"arrivals.times_ms[{i}]", 0.0)
+                                      for i, t in enumerate(times))}
+    else:
+        schedule = {
+            "count": _int(_require(arrivals_doc, "count", "arrivals"), "arrivals.count", 1),
+            "interval_ms": _num(_require(arrivals_doc, "interval_ms", "arrivals"),
+                                "arrivals.interval_ms"),
+        }
     try:
-        if "times_ms" in arrivals_doc:
-            arrivals = ArrivalSchedule(times_ms=tuple(arrivals_doc["times_ms"]))
-        else:
-            arrivals = ArrivalSchedule(
-                count=_int(_require(arrivals_doc, "count", "arrivals"), "arrivals.count", 1),
-                interval_ms=_num(_require(arrivals_doc, "interval_ms", "arrivals"),
-                                 "arrivals.interval_ms"),
-            )
+        arrivals = ArrivalSchedule(**schedule)
     except ValueError as exc:
         raise ConfigError(f"arrivals: {exc}") from None
 
@@ -181,11 +202,7 @@ def parse_sdp(doc: dict, seed_override: int | None = None) -> SdpExperiment:
         if "service_ms" in s:
             service = Constant(_num(s["service_ms"], f"{where}.service_ms", 0.0))
         else:
-            pair = s["service_uniform_ms"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{where}.service_uniform_ms: expected [lo, hi]")
-            service = Uniform(_num(pair[0], f"{where}.service_uniform_ms[0]", 0.0),
-                              _num(pair[1], f"{where}.service_uniform_ms[1]", 0.0))
+            service = Uniform(*_range(s["service_uniform_ms"], f"{where}.service_uniform_ms"))
         output = s.get("output_topic")
         try:
             stages.append(
@@ -281,38 +298,33 @@ def parse_fl(
     if mode not in ("sync", "async"):
         raise ConfigError(f"mode: expected 'sync' or 'async', got {mode!r}")
     seed = resolve_seed(doc.get("seed"), seed_override)
-    try:
-        config = FlConfig(
-            mode=mode,
-            num_clients=_int(_require(doc, "clients", "top level"), "clients", 1),
-            rounds=_int(_require(doc, "rounds", "top level"), "rounds", 1),
-            layer_sizes=_parse_layers(doc),
-            learning_rate=_num(_require(doc, "lr", "top level"), "lr", 0.0),
-            samples_per_round=_int(doc.get("samples_per_round", 60), "samples_per_round", 1),
-            local_epochs=_int(doc.get("local_epochs", 1), "local_epochs", 0),
-            hidden_activation=_activation(doc),
-            aggregation_interval_ms=_num(doc.get("interval_ms", 60_000), "interval_ms"),
-            staleness_bound=_int(doc.get("staleness_bound", 1), "staleness_bound", 0),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    interval = _num(doc.get("interval_ms", 60_000), "interval_ms")
+    if mode == "async" and not interval > 0:
+        raise ConfigError(f"interval_ms: async mode needs > 0, got {interval}")
+    # every field is checked here, so FlConfig and StragglerModel cannot reject it
+    config = FlConfig(
+        mode=mode,
+        num_clients=_int(_require(doc, "clients", "top level"), "clients", 1),
+        rounds=_int(_require(doc, "rounds", "top level"), "rounds", 1),
+        layer_sizes=_parse_layers(doc),
+        learning_rate=_num(_require(doc, "lr", "top level"), "lr", 0.0),
+        samples_per_round=_int(doc.get("samples_per_round", 60), "samples_per_round", 1),
+        local_epochs=_int(doc.get("local_epochs", 1), "local_epochs", 0),
+        hidden_activation=_activation(doc),
+        aggregation_interval_ms=interval,
+        staleness_bound=_int(doc.get("staleness_bound", 1), "staleness_bound", 0),
+        seed=seed,
+    )
     delay = doc.get("straggler_delay_ms")
     if isinstance(delay, list):
-        if len(delay) != 2:
-            raise ConfigError("straggler_delay_ms: expected [lo, hi]")
-        delay = (_num(delay[0], "straggler_delay_ms[0]", 0.0),
-                 _num(delay[1], "straggler_delay_ms[1]", 0.0))
+        delay = _range(delay, "straggler_delay_ms")
     elif delay is not None:
         delay = _num(delay, "straggler_delay_ms", 0.0)
-    try:
-        stragglers = StragglerModel(
-            miss_probability=_num(doc.get("straggler_p", 0.0), "straggler_p", 0.0),
-            delay_ms=delay,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    stragglers = StragglerModel(
+        miss_probability=_num(doc.get("straggler_p", 0.0), "straggler_p", 0.0, 1.0),
+        delay_ms=delay,
+        seed=seed,
+    )
     if mode == "sync" and not stragglers.is_zero():
         raise ConfigError("straggler_p/straggler_delay_ms require async mode")
     return FlExperiment(

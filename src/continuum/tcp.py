@@ -19,14 +19,23 @@ connection that sent the frame, on a declared length over the cap (before it
 reads or allocates the body), a version-1 JSON frame, an unknown version or an
 unknown kind.
 
+The broker runs one accept thread plus one reader thread per connection. A
+reader routes each frame it reads itself, under one server lock held across
+msg-id assignment, the route lookup and every write, so every connection
+receives frames in msg-id order. A PUB is acked after routing: `publish`
+returns once the frame is written to every matching connection. The broker
+holds no queue, so a connection that stops reading stalls routing instead of
+growing the broker's memory.
+
 A TcpBus is one connection that carries every node of its process: one socket,
-one reader thread feeding one dispatch thread. A node is only the sender of the
+one reader thread feeding one handler thread. A node is only the sender of the
 PUB and SUB frames it makes, so any number of nodes hold one server connection.
 Handlers run one at a time, in arrival order, as on the simulated broker. A
 handler unsubscribed while a message is being dispatched does not receive it.
 A handler that raises stops the whole bus's dispatch, and `drive` re-raises its
 exception. Publishes are acknowledged, giving at-least-once delivery within the
-process lifetime. No retained messages, no persistence.
+process lifetime; a call whose connection closes before its ack raises
+ConnectionError at once. No retained messages, no persistence.
 """
 
 from __future__ import annotations
@@ -132,26 +141,24 @@ def _recv_frame(sock: socket.socket) -> Frame | None:
 
 
 class TcpBrokerServer:
-    """Accepts connections, routes 'pub' frames to matching 'sub' registrations."""
+    """Accepts connections; the reader thread of each routes the frames it reads."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
-        self._lock = threading.Lock()
-        self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
+        # Held across msg-id assignment, routing and every write to every socket,
+        # so each connection gets frames in msg-id order and whole. Re-entrant,
+        # because _send_frame takes it again under the caller's hold.
+        self._lock = threading.RLock()
+        self._conns: dict[int, socket.socket] = {}
         self._routes = RouteTable()  # of conn_ids; guarded by _lock
         self._next_conn = 0
         self._next_msg = 0
-        self._next_sub = 0
-        self._dispatch: queue.Queue = queue.Queue()
-        self._closing = False
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
-        self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
-        self._dispatch_thread.start()
 
     def _accept_loop(self) -> None:
-        while not self._closing:
+        while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
@@ -160,16 +167,13 @@ class TcpBrokerServer:
             with self._lock:
                 conn_id = self._next_conn
                 self._next_conn += 1
-                self._conns[conn_id] = (conn, threading.Lock())
+                self._conns[conn_id] = conn
             threading.Thread(target=self._reader_loop, args=(conn_id, conn), daemon=True).start()
 
     def _reader_loop(self, conn_id: int, conn: socket.socket) -> None:
         try:
-            while True:
-                frame = _recv_frame(conn)
-                if frame is None:
-                    break
-                self._handle(conn_id, frame)
+            while (frame := _recv_frame(conn)) is not None:
+                self._handle(conn_id, conn, frame)
         except (OSError, ValueError):
             pass
         finally:
@@ -178,66 +182,47 @@ class TcpBrokerServer:
                 self._routes.remove(conn_id)
             conn.close()
 
-    def _handle(self, conn_id: int, frame: Frame) -> None:
-        if frame.kind == SUB:
-            with self._lock:
-                self._next_sub += 1
-                sub_id = self._next_sub
+    def _handle(self, conn_id: int, conn: socket.socket, frame: Frame) -> None:
+        with self._lock:
+            if frame.kind == SUB:
                 self._routes.add(conn_id, frame.topic)
-                entry = self._conns.get(conn_id)
-            if entry is not None:
-                self._ack(entry, sub_id)
-        elif frame.kind == PUB:
-            with self._lock:
+                self._ack(conn, 0)
+            elif frame.kind == PUB:
                 self._next_msg += 1
-                msg_id = self._next_msg
-                entry = self._conns.get(conn_id)
-            self._dispatch.put(frame._replace(msg_id=msg_id))
-            if entry is not None:
-                self._ack(entry, msg_id)
+                frame = frame._replace(msg_id=self._next_msg)
+                for target in self._routes.route(frame.topic):
+                    self._write(self._conns[target], frame)
+                self._ack(conn, frame.msg_id)
 
-    def _ack(self, entry: tuple[socket.socket, threading.Lock], msg_id: int) -> None:
-        sock, lock = entry
+    def _ack(self, conn: socket.socket, msg_id: int) -> None:
+        self._write(conn, Frame(ACK, msg_id))
+
+    def _write(self, conn: socket.socket, frame: Frame) -> None:
+        """Send under the lock; a failed connection is dropped by its own reader."""
         try:
-            _send_frame(sock, lock, Frame(ACK, msg_id))
+            _send_frame(conn, self._lock, frame)
         except OSError:
             pass
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            frame = self._dispatch.get()
-            if frame is None:
-                return
-            with self._lock:
-                targets = [self._conns.get(c) for c in self._routes.route(frame.topic)]
-            for entry in filter(None, targets):
-                sock, lock = entry
-                try:
-                    _send_frame(sock, lock, frame)
-                except OSError:
-                    pass
-
     def close(self) -> None:
-        self._closing = True
-        self._dispatch.put(None)
         try:
             # shutdown (not just close) wakes the thread blocked in accept(),
             # releasing the port for the next bind
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._accept_thread.join(timeout=2.0)  # so no connection registers after this
         self._listener.close()
-        with self._lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for sock, _lock in conns:
+        # Shut down first, on a copy taken without the lock: that fails a write
+        # blocked on a peer that stopped reading, which holds the lock until it returns.
+        for conn in self._conns.copy().values():
             try:
-                sock.shutdown(socket.SHUT_RDWR)
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            sock.close()
-        self._accept_thread.join(timeout=2.0)
-        self._dispatch_thread.join(timeout=2.0)
+        with self._lock:  # no write is in flight while the lock is held
+            for conn in self._conns.values():
+                conn.close()
 
 
 @dataclass
@@ -256,8 +241,9 @@ class TcpBus:
     def __post_init__(self) -> None:
         self._sock = socket.create_connection((self.host, self.port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._write_lock = threading.Lock()
-        self._call_lock = threading.Lock()  # serializes frame-send + ack-wait pairs
+        # one frame send and its ack wait at a time; re-entrant, because
+        # _send_frame takes it again under the caller's hold
+        self._call_lock = threading.RLock()
         self._acks: queue.Queue = queue.Queue()
         self._incoming: queue.Queue = queue.Queue()
         self._subs: dict[int, tuple[str, Handler]] = {}  # sub_id -> (node, handler)
@@ -266,7 +252,7 @@ class TcpBus:
         self._sub_ids = itertools.count(1)
         self._failure: tuple[str, str, Exception] | None = None
         threading.Thread(target=self._reader_loop, daemon=True).start()
-        threading.Thread(target=self._dispatch_loop, daemon=True).start()
+        threading.Thread(target=self._handler_loop, daemon=True).start()
 
     def _reader_loop(self) -> None:
         try:
@@ -282,8 +268,9 @@ class TcpBus:
             pass
         finally:
             self._incoming.put(None)
+            self._acks.put(None)  # fails at once a call waiting for an ack that cannot come
 
-    def _dispatch_loop(self) -> None:
+    def _handler_loop(self) -> None:
         while True:
             frame = self._incoming.get()
             if frame is None:
@@ -305,11 +292,15 @@ class TcpBus:
 
     def _call(self, frame: Frame) -> int:
         """Send `frame` and wait for its ack; the caller holds _call_lock."""
-        _send_frame(self._sock, self._write_lock, frame)
+        _send_frame(self._sock, self._call_lock, frame)
         try:
-            return self._acks.get(timeout=_ACK_TIMEOUT_S)
+            msg_id = self._acks.get(timeout=_ACK_TIMEOUT_S)
         except queue.Empty:
             raise RuntimeError("broker did not acknowledge within the timeout") from None
+        if msg_id is None:
+            self._acks.put(None)  # for every later call too
+            raise ConnectionError("the broker closed the connection")
+        return msg_id
 
     def subscribe(self, node: str, filt: str, handler: Handler) -> int:
         validate_node_id(node)
@@ -339,7 +330,7 @@ class TcpBus:
         return msg_id
 
     def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
-        """Poll until `awaiting()` is empty; handlers run on the bus's dispatch thread.
+        """Poll until `awaiting()` is empty; handlers run on the bus's handler thread.
 
         Raises the exception a handler raised as soon as it is seen: the
         handler's own exception, so both backends raise the same type, with a

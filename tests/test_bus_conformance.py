@@ -1,5 +1,6 @@
 """One behavioural suite, two backends: the simulated broker and the TCP broker."""
 
+import socket
 import sys
 import threading
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from continuum.bus import MAX_FRAME_BYTES, SimBroker
-from continuum.tcp import TcpBrokerServer, TcpBus
+from continuum.tcp import ACK, SUB, Frame, TcpBrokerServer, TcpBus, _recv_frame, _send_frame
 
 
 class SimBackend:
@@ -289,4 +290,84 @@ def test_tcp_nodes_share_one_server_connection_and_add_no_thread():
         assert threading.active_count() <= threads
     finally:
         bus.close()
+        server.close()
+
+
+def test_tcp_broker_server_starts_one_thread():
+    before = set(threading.enumerate())
+    server = TcpBrokerServer(port=0)
+    try:
+        assert len(set(threading.enumerate()) - before) == 1  # the accept thread
+    finally:
+        server.close()
+
+
+def test_tcp_server_close_ends_routing_blocked_on_a_subscriber_that_stopped_reading():
+    server = TcpBrokerServer(port=0)
+    bus = TcpBus(port=server.port)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # small, so writes block
+    stalled.settimeout(5.0)
+    try:
+        stalled.connect((server.host, server.port))
+        _send_frame(stalled, threading.Lock(), Frame(SUB, 0, "flood/#", "cloud:stalled"))
+        assert _recv_frame(stalled).kind == ACK  # nothing is read from here on
+        errors = []
+
+        def flood():
+            try:
+                for _ in range(8):  # far more than the socket buffers hold
+                    bus.publish("edge:s", "flood/x", bytes(4 << 20))
+            except Exception as exc:
+                errors.append(exc)
+
+        publisher = threading.Thread(target=flood)
+        publisher.start()
+        publisher.join(timeout=1.0)
+        assert publisher.is_alive(), "routing should block on the stalled subscriber"
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close() hung behind the blocked write"
+        # the publish waiting for its ack fails at once, not at the ack timeout
+        publisher.join(timeout=5.0)
+        assert not publisher.is_alive()
+        assert [type(exc) for exc in errors] == [ConnectionError]
+    finally:
+        stalled.close()
+        bus.close()
+        server.close()
+
+
+@pytest.mark.parametrize("attempt", range(10))
+def test_tcp_frames_reach_every_connection_in_one_msg_id_order(attempt):
+    server = TcpBrokerServer(port=0)
+    buses = [TcpBus(port=server.port) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        buses[2].subscribe("cloud:c", "order/+", got.append)
+
+        def publisher(k):
+            for i in range(50):
+                buses[k].publish(f"edge:p{k}", f"order/{k}", bytes([k, i]))
+
+        # two publishers on their own connections, so two broker readers route at once
+        threads = [threading.Thread(target=publisher, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        buses[2].drive(lambda: [] if len(got) == 100 else ["cloud:c"], timeout_ms=5_000.0)
+        ids = [env.msg_id for env in got]
+        assert all(a < b for a, b in zip(ids, ids[1:])), "frames arrived out of msg-id order"
+        for k in range(2):
+            mine = [env.payload for env in got if env.sender == f"edge:p{k}"]
+            assert mine == [bytes([k, i]) for i in range(50)]
+    finally:
+        sys.setswitchinterval(interval)
+        for bus in buses:
+            bus.close()
         server.close()

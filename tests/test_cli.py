@@ -97,14 +97,41 @@ def test_unknown_fl_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+def _sdp_doc_with(arrivals=None, uniform=None) -> dict:
+    doc = small_sdp_doc()
+    if arrivals is not None:
+        doc["arrivals"] = {"times_ms": arrivals}
+    if uniform is not None:
+        del doc["stages"][0]["service_ms"]
+        doc["stages"][0]["service_uniform_ms"] = uniform
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, doc, field",
     [
         ("dist-train", dict(small_dist_doc(), lr=0), "lr"),
         ("dist-train", dict(small_dist_doc(), activation="swish"), "activation"),
         ("fl-run", small_fl_doc(activation="swish"), "activation"),
+        ("sdp-sim", _sdp_doc_with(uniform=[5, 1]), "stages[0].service_uniform_ms[1]"),
+        ("sdp-sim", _sdp_doc_with(arrivals=[0, "a"]), "arrivals.times_ms[1]"),
+        ("sdp-sim", _sdp_doc_with(arrivals="abc"), "arrivals.times_ms"),
+        ("sdp-sim", _sdp_doc_with(arrivals=[-5, 0]), "arrivals.times_ms[0]"),
+        ("sdp-sim", _sdp_doc_with(arrivals=[0, True, 5]), "arrivals.times_ms[1]"),
+        ("dist-train", dict(small_dist_doc(), dataset={"synth": {
+            "n": 3, "d": 6, "classes": 4, "separation": 3.0, "seed": 5}}), "dataset.synth.n"),
+        ("fl-run", small_fl_doc("async", interval_ms=0), "interval_ms"),
+        ("fl-run", small_fl_doc("async", straggler_p=1.5), "straggler_p"),
+        ("fl-run", small_fl_doc("async", straggler_delay_ms=[5, 1]), "straggler_delay_ms[1]"),
+        # the csv path need only exist: the config is rejected before the file is read
+        ("dist-train", dict(small_dist_doc(), dataset={"csv": {
+            "path": __file__, "label_column": 6, "num_classes": 3, "has_header": "no"}}),
+         "dataset.csv.has_header"),
     ],
-    ids=["dist-lr-0", "dist-swish", "fl-swish"],
+    ids=["dist-lr-0", "dist-swish", "fl-swish", "sdp-uniform-reversed", "sdp-time-string",
+         "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool", "dist-synth-n-under-classes",
+         "fl-async-interval-0", "fl-straggler-p-over-1", "fl-delay-reversed",
+         "csv-has-header-string"],
 )
 def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, doc, field):
     config = write_config(tmp_path / "c.json", doc)
