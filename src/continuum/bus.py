@@ -151,11 +151,12 @@ class LinkLatency:
 class Bus(Protocol):
     """What the workloads use of a bus; SimBroker and tcp.TcpBus both provide it.
 
-    `drive(awaiting, timeout_ms)` returns once `awaiting()` is empty. It raises
-    the first exception a handler raised, or, when the workload can make no
-    more progress (sim: the event queue drained; TCP: `timeout_ms` passed),
-    a RuntimeError naming `sorted(awaiting())`. Handlers run one at a time, and
-    one that raises stops the bus's dispatch.
+    Handlers run only inside `drive(awaiting, timeout_ms)`, one at a time, in
+    arrival order (TCP: on a thread each call starts and joins), until
+    `awaiting()` is empty. A raising handler ends the call with its exception;
+    deliveries not yet made wait for the next. A stuck workload (sim: queue
+    drained; TCP: `timeout_ms` passed) raises a RuntimeError naming
+    `sorted(awaiting())`, and a lost TCP broker a ConnectionError at once.
     """
 
     published: list[Envelope]
@@ -182,11 +183,6 @@ class SimClock:
         if due < self.now:
             raise ValueError(f"cannot schedule at {due} ms: time is already {self.now} ms")
         heapq.heappush(self._heap, (due, next(self._seq), fn))
-
-    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        if delay_ms < 0:
-            raise ValueError("delay must be >= 0")
-        self.call_at(self.now + delay_ms, fn)
 
     def pending(self) -> int:
         return len(self._heap)
@@ -222,9 +218,6 @@ class SimBroker:
 
     def call_at(self, due_ms: float, fn: Callable[[], None]) -> None:
         self.clock.call_at(due_ms, fn)
-
-    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        self.clock.call_later(delay_ms, fn)
 
     def subscribe(self, node: str, filt: str, handler: Handler) -> int:
         validate_node_id(node)

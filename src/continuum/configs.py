@@ -204,21 +204,20 @@ def parse_sdp(doc: dict, seed_override: int | None = None) -> SdpExperiment:
         else:
             service = Uniform(*_range(s["service_uniform_ms"], f"{where}.service_uniform_ms"))
         output = s.get("output_topic")
-        try:
-            stages.append(
-                StageSpec(
-                    name=_str(_require(s, "name", where), f"{where}.name"),
-                    node=_str(_require(s, "node", where), f"{where}.node"),
-                    input_topic=_str(_require(s, "input_topic", where), f"{where}.input_topic"),
-                    output_topic=None if output is None else _str(output, f"{where}.output_topic"),
-                    service=service,
-                    kind=s.get("kind", "process"),
-                    servers=_int(s.get("servers", 1), f"{where}.servers", 1),
-                    cold_start_ms=_num(s.get("cold_start_ms", 0.0), f"{where}.cold_start_ms", 0.0),
-                    cold_idle_threshold_ms=_num(s.get("cold_idle_threshold_ms", 0.0),
-                                                f"{where}.cold_idle_threshold_ms", 0.0),
-                )
-            )
+        fields = dict(
+            name=_str(_require(s, "name", where), f"{where}.name"),
+            node=_str(_require(s, "node", where), f"{where}.node"),
+            input_topic=_str(_require(s, "input_topic", where), f"{where}.input_topic"),
+            output_topic=None if output is None else _str(output, f"{where}.output_topic"),
+            service=service,
+            kind=s.get("kind", "process"),
+            servers=_int(s.get("servers", 1), f"{where}.servers", 1),
+            cold_start_ms=_num(s.get("cold_start_ms", 0.0), f"{where}.cold_start_ms", 0.0),
+            cold_idle_threshold_ms=_num(s.get("cold_idle_threshold_ms", 0.0),
+                                        f"{where}.cold_idle_threshold_ms", 0.0),
+        )
+        try:  # only StageSpec's own checks lack a field name
+            stages.append(StageSpec(**fields))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     try:

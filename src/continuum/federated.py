@@ -363,8 +363,8 @@ def run_async(
         # training happens at the cadence tick; only the send is delayed
         payload = client.build_update(round_index)
         if delay > 0:
-            broker.call_later(
-                delay, lambda: broker.publish(client.node, UPDATE_TOPIC, payload)
+            broker.call_at(
+                broker.now + delay, lambda: broker.publish(client.node, UPDATE_TOPIC, payload)
             )
         else:
             broker.publish(client.node, UPDATE_TOPIC, payload)

@@ -27,15 +27,17 @@ returns once the frame is written to every matching connection. The broker
 holds no queue, so a connection that stops reading stalls routing instead of
 growing the broker's memory.
 
-A TcpBus is one connection that carries every node of its process: one socket,
-one reader thread feeding one handler thread. A node is only the sender of the
-PUB and SUB frames it makes, so any number of nodes hold one server connection.
-Handlers run one at a time, in arrival order, as on the simulated broker. A
-handler unsubscribed while a message is being dispatched does not receive it.
-A handler that raises stops the whole bus's dispatch, and `drive` re-raises its
-exception. Publishes are acknowledged, giving at-least-once delivery within the
-process lifetime; a call whose connection closes before its ack raises
-ConnectionError at once. No retained messages, no persistence.
+A TcpBus is one connection that carries every node of its process: one socket
+and one reader thread, plus one dispatch thread while `drive` runs. A node is
+only the sender of the PUB and SUB frames it makes, so any number of nodes hold
+one server connection. Handlers run only inside `drive`, one at a time, in
+arrival order, as on the simulated broker. A handler unsubscribed while a
+message is being dispatched does not receive it. A handler that raises ends
+that `drive` call with its exception; deliveries not yet made stay queued for
+the next call. Publishes are acknowledged, giving at-least-once delivery within
+the process lifetime; a call whose connection closes before its ack, and a
+`drive` on a connection that has ended, raise ConnectionError at once. No
+retained messages, no persistence.
 """
 
 from __future__ import annotations
@@ -229,9 +231,7 @@ class TcpBrokerServer:
 class TcpBus:
     """One connection that carries every node of the process, behind the bus.Bus contract.
 
-    A node is only a name here: it travels as the sender of each PUB and SUB
-    frame. The first exception a handler raises stops all dispatch, and
-    `drive` re-raises it.
+    A node is only a name here: it travels as the sender of each PUB and SUB frame.
     """
 
     host: str = "127.0.0.1"
@@ -245,14 +245,12 @@ class TcpBus:
         # _send_frame takes it again under the caller's hold
         self._call_lock = threading.RLock()
         self._acks: queue.Queue = queue.Queue()
-        self._incoming: queue.Queue = queue.Queue()
+        self._incoming: queue.Queue = queue.Queue()  # (sub_id, envelope) pairs, then None at end
         self._subs: dict[int, tuple[str, Handler]] = {}  # sub_id -> (node, handler)
         self._routes = RouteTable()  # of sub_ids; guarded by _subs_lock
         self._subs_lock = threading.Lock()
         self._sub_ids = itertools.count(1)
-        self._failure: tuple[str, str, Exception] | None = None
         threading.Thread(target=self._reader_loop, daemon=True).start()
-        threading.Thread(target=self._handler_loop, daemon=True).start()
 
     def _reader_loop(self) -> None:
         try:
@@ -263,32 +261,16 @@ class TcpBus:
                 if frame.kind == ACK:
                     self._acks.put(frame.msg_id)
                 elif frame.kind == PUB:
-                    self._incoming.put(frame)
+                    env = Envelope(frame.msg_id, frame.topic, frame.payload,
+                                   time.time() * 1000.0, frame.sender)
+                    with self._subs_lock:  # routed on arrival, as the sim bus routes on publish
+                        for sub_id in self._routes.route(env.topic):
+                            self._incoming.put((sub_id, env))
         except (OSError, ValueError):
             pass
         finally:
             self._incoming.put(None)
             self._acks.put(None)  # fails at once a call waiting for an ack that cannot come
-
-    def _handler_loop(self) -> None:
-        while True:
-            frame = self._incoming.get()
-            if frame is None:
-                return
-            env = Envelope(frame.msg_id, frame.topic, frame.payload, time.time() * 1000.0,
-                           frame.sender)
-            with self._subs_lock:
-                sub_ids = self._routes.route(env.topic)
-            for sub_id in sub_ids:
-                with self._subs_lock:  # as on the sim bus, skip a handler unsubscribed meanwhile
-                    entry = self._subs.get(sub_id)
-                if entry is None:
-                    continue
-                try:
-                    entry[1](env)
-                except Exception as exc:  # re-raised by drive
-                    self._failure = (entry[0], env.topic, exc)
-                    return
 
     def _call(self, frame: Frame) -> int:
         """Send `frame` and wait for its ack; the caller holds _call_lock."""
@@ -330,24 +312,49 @@ class TcpBus:
         return msg_id
 
     def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
-        """Poll until `awaiting()` is empty; handlers run on the bus's handler thread.
+        """Run handlers, one at a time in arrival order, until `awaiting()` is empty.
 
-        Raises the exception a handler raised as soon as it is seen: the
-        handler's own exception, so both backends raise the same type, with a
-        cause that names the node and the topic it was handling. At the
-        timeout, raises a RuntimeError naming what the workload still awaits.
+        Handlers run only here, on a thread this call starts and joins. A handler's
+        exception ends the call, with a cause naming the node and the topic; deliveries
+        not yet made wait for the next call. A lost connection raises ConnectionError at
+        once, and the timeout a RuntimeError naming what the workload still awaits.
         """
+        failure: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                self._dispatch(awaiting, timeout_ms)
+            except BaseException as exc:  # re-raised below, on the caller's thread
+                failure.append(exc)
+
+        # off the main thread, numpy temporaries skip glibc's main arena, which trims and re-faults them
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join()
+        if failure:
+            raise failure.pop()
+
+    def _dispatch(self, awaiting: Awaiting, timeout_ms: float) -> None:
         deadline = time.monotonic() + timeout_ms / 1000.0
-        while True:
-            if self._failure is not None:
-                node, topic, exc = self._failure
-                raise exc from RuntimeError(f"a handler of {node} raised on topic {topic!r}")
-            missing = awaiting()
-            if not missing:
-                return
-            if time.monotonic() > deadline:
-                raise stalled(f"drive timed out after {timeout_ms:g} ms", missing)
-            time.sleep(0.001)
+        while missing := awaiting():
+            try:  # the deadline is checked apart from the wait, which a busy queue never ends
+                if (left := deadline - time.monotonic()) <= 0:
+                    raise queue.Empty
+                delivery = self._incoming.get(timeout=left)
+            except queue.Empty:
+                raise stalled(f"drive timed out after {timeout_ms:g} ms", missing) from None
+            if delivery is None:
+                self._incoming.put(None)  # for every later drive too
+                raise ConnectionError("the broker closed the connection")
+            sub_id, env = delivery
+            with self._subs_lock:  # as on the sim bus, skip a handler unsubscribed meanwhile
+                entry = self._subs.get(sub_id)
+            if entry is None:
+                continue
+            try:
+                entry[1](env)
+            except Exception as exc:
+                raise exc from RuntimeError(f"a handler of {entry[0]} raised on topic {env.topic!r}")
 
     def close(self) -> None:
         """Shut the socket once any publish or subscribe in flight has its ack."""

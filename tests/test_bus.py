@@ -81,7 +81,7 @@ def test_run_until_idle_returns_last_due_time():
 
     def chain(depth):
         if depth > 0:
-            broker.call_later(10.0, lambda: chain(depth - 1))
+            broker.call_at(broker.now + 10.0, lambda: chain(depth - 1))
 
     chain(3)
     assert broker.run_until_idle() == 30.0

@@ -8,36 +8,30 @@ import time
 import pytest
 
 from continuum.bus import MAX_FRAME_BYTES, SimBroker
-from continuum.tcp import ACK, SUB, Frame, TcpBrokerServer, TcpBus, _recv_frame, _send_frame
+from continuum.tcp import ACK, PUB, SUB, Frame, TcpBrokerServer, TcpBus, _recv_frame, _send_frame
 
 
-class SimBackend:
+class Backend:
+    def settle(self, done=lambda: True):
+        self.bus.drive(lambda: [] if done() else ["settle"], timeout_ms=5_000.0)
+
+
+class SimBackend(Backend):
     name = "sim"
 
     def __init__(self):
         self.bus = SimBroker()
 
-    def settle(self, done=lambda: True):
-        self.bus.run_until_idle()
-        assert done()
-
     def close(self):
         pass
 
 
-class TcpBackend:
+class TcpBackend(Backend):
     name = "tcp"
 
     def __init__(self):
         self.server = TcpBrokerServer(port=0)
         self.bus = TcpBus(port=self.server.port)
-
-    def settle(self, done=lambda: True):
-        deadline = time.monotonic() + 5.0
-        while not done():
-            if time.monotonic() > deadline:
-                pytest.fail("TCP backend did not settle within 5s")
-            time.sleep(0.002)
 
     def close(self):
         self.bus.close()
@@ -169,9 +163,29 @@ def test_handler_exception_surfaces_from_drive_at_once(backend):
         backend.bus.drive(lambda: ["fog:a"], timeout_ms=5_000.0)
     assert time.monotonic() - start < 2.0
     assert seen == [b"1"]
-    if backend.name == "tcp":  # handlers run on a bus thread, so drive says where it failed
+    if backend.name == "tcp":  # the TCP drive names where the handler failed
         assert "fog:a" in str(info.value.__cause__)
         assert "conf/bad" in str(info.value.__cause__)
+
+
+def test_drive_after_a_raising_handler_dispatches_what_is_still_queued(backend):
+    seen = []
+
+    def first(env):
+        seen.append(("a", env.payload))
+        if env.payload == b"1":
+            raise LookupError("first message")
+
+    backend.bus.subscribe("fog:a", "conf/q", first)
+    backend.bus.subscribe("fog:b", "conf/q", lambda env: seen.append(("b", env.payload)))
+    backend.bus.publish("edge:s", "conf/q", b"1")
+    backend.bus.publish("edge:s", "conf/q", b"2")
+    with pytest.raises(LookupError, match="first message"):
+        backend.bus.drive(lambda: ["fog:b"], timeout_ms=5_000.0)
+    assert seen == [("a", b"1")]
+    # the next call goes on where the failed one stopped, even within one message
+    backend.settle(lambda: len(seen) == 4)
+    assert seen == [("a", b"1"), ("b", b"1"), ("a", b"2"), ("b", b"2")]
 
 
 def test_handlers_of_different_nodes_never_overlap(backend):
@@ -255,10 +269,8 @@ def test_tcp_routes_stay_exact_while_nodes_subscribe_concurrently():
         assert not any(t.is_alive() for t in threads)
         # each node subscribed before it published, so a stale route would lose its own messages
         own = {k: {bytes([k, i]) for i in range(20)} for k in got}
-        deadline = time.monotonic() + 5.0
-        while not all(own[k] <= {e.payload for e in got[k]} for k in got):
-            assert time.monotonic() < deadline, "a node missed a publish made after it subscribed"
-            time.sleep(0.002)
+        bus.drive(lambda: [f"fog:n{k}" for k in got if not own[k] <= {e.payload for e in got[k]}],
+                  timeout_ms=5_000.0)
         assert all(len({e.msg_id for e in got[k]}) == len(got[k]) for k in got)
     finally:
         sys.setswitchinterval(interval)
@@ -273,10 +285,7 @@ def test_tcp_nodes_share_one_server_connection_and_add_no_thread():
         got = []
 
         def settle(count):
-            deadline = time.monotonic() + 5.0
-            while len(got) < count:
-                assert time.monotonic() < deadline, "a node missed a publish"
-                time.sleep(0.002)
+            bus.drive(lambda: [] if len(got) >= count else ["a node"], timeout_ms=5_000.0)
 
         bus.subscribe("cloud:c", "conf/n/+", got.append)
         bus.publish("edge:s", "conf/n/x", b"")
@@ -299,6 +308,43 @@ def test_tcp_broker_server_starts_one_thread():
     try:
         assert len(set(threading.enumerate()) - before) == 1  # the accept thread
     finally:
+        server.close()
+
+
+def test_tcp_bus_starts_one_thread_and_drive_leaves_none_behind():
+    # a bare listener, so that no broker thread starts while threads are counted
+    listener = socket.create_server(("127.0.0.1", 0))
+    before = set(threading.enumerate())
+    bus = TcpBus(port=listener.getsockname()[1])
+    peer, _ = listener.accept()
+    try:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1  # the reader thread
+        lock, got = threading.Lock(), []
+        _send_frame(peer, lock, Frame(ACK, 0))  # acks the SUB below ahead of time
+        bus.subscribe("fog:a", "conf/t", got.append)
+        _send_frame(peer, lock, Frame(PUB, 1, "conf/t", "edge:s", b"x"))
+        bus.drive(lambda: [] if got else ["fog:a"], timeout_ms=5_000.0)
+        assert [env.payload for env in got] == [b"x"]
+        assert set(threading.enumerate()) - before == started
+    finally:
+        bus.close()
+        peer.close()
+        listener.close()
+
+
+def test_tcp_drive_on_a_closed_broker_raises_connection_error_at_once():
+    server = TcpBrokerServer(port=0)
+    bus = TcpBus(port=server.port)
+    try:
+        server.close()
+        for _ in range(2):  # and so does every later drive
+            start = time.monotonic()
+            with pytest.raises(ConnectionError):
+                bus.drive(lambda: ["cloud:c"], timeout_ms=5_000.0)
+            assert time.monotonic() - start < 1.0
+    finally:
+        bus.close()
         server.close()
 
 

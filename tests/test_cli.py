@@ -97,8 +97,10 @@ def test_unknown_fl_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
-def _sdp_doc_with(arrivals=None, uniform=None) -> dict:
+def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
     doc = small_sdp_doc()
+    if stage_name is not None:
+        doc["stages"][0]["name"] = stage_name
     if arrivals is not None:
         doc["arrivals"] = {"times_ms": arrivals}
     if uniform is not None:
@@ -118,6 +120,7 @@ def _sdp_doc_with(arrivals=None, uniform=None) -> dict:
         ("sdp-sim", _sdp_doc_with(arrivals="abc"), "arrivals.times_ms"),
         ("sdp-sim", _sdp_doc_with(arrivals=[-5, 0]), "arrivals.times_ms[0]"),
         ("sdp-sim", _sdp_doc_with(arrivals=[0, True, 5]), "arrivals.times_ms[1]"),
+        ("sdp-sim", _sdp_doc_with(stage_name=""), "stages[0].name"),
         ("dist-train", dict(small_dist_doc(), dataset={"synth": {
             "n": 3, "d": 6, "classes": 4, "separation": 3.0, "seed": 5}}), "dataset.synth.n"),
         ("fl-run", small_fl_doc("async", interval_ms=0), "interval_ms"),
@@ -129,7 +132,8 @@ def _sdp_doc_with(arrivals=None, uniform=None) -> dict:
          "dataset.csv.has_header"),
     ],
     ids=["dist-lr-0", "dist-swish", "fl-swish", "sdp-uniform-reversed", "sdp-time-string",
-         "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool", "dist-synth-n-under-classes",
+         "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool", "sdp-stage-name-empty",
+         "dist-synth-n-under-classes",
          "fl-async-interval-0", "fl-straggler-p-over-1", "fl-delay-reversed",
          "csv-has-header-string"],
 )
@@ -137,7 +141,7 @@ def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, 
     config = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"
     assert main([command, str(config), "--out", str(out)]) == 2
-    assert f"{field}:" in capsys.readouterr().err
+    assert f"{config}: {field}:" in capsys.readouterr().err  # the field, named once
     assert not out.exists()
 
 
