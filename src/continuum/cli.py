@@ -40,16 +40,9 @@ EXIT_REPLAY = 3
 log = logging.getLogger("continuum.cli")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _csv(header: list[str], rows: list[list]) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _csv(header: list[str], row_format: str, rows: list[tuple]) -> bytes:
+    """One CSV file: `row_format` is a %-format of one line, such as "%d,%.17g\\n"."""
+    return (",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))).encode("utf-8")
 
 
 def _configure_logging() -> None:
@@ -103,11 +96,13 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
     stats = pipeline_stats(traces, records)
     items = _csv(
         ["item_id", "arrival_ms", "completion_ms", "sojourn_ms"],
-        [[t.item_id, t.arrival_ms, t.completion_ms, t.sojourn_ms] for t in traces],
+        "%d,%.17g,%.17g,%.17g\n",
+        [(t.item_id, t.arrival_ms, t.completion_ms, t.sojourn_ms) for t in traces],
     )
     stages = _csv(
         ["item_id", "stage", "enqueue_ms", "start_ms", "end_ms"],
-        [[r.item_id, r.stage, r.enqueue_ms, r.start_ms, r.end_ms] for r in records],
+        "%d,%s,%.17g,%.17g,%.17g\n",
+        [(r.item_id, r.stage, r.enqueue_ms, r.start_ms, r.end_ms) for r in records],
     )
     summary = (
         f"{len(traces)} items completed; mean sojourn {stats.mean_sojourn_ms:.1f} ms, "
@@ -138,7 +133,8 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
         ctx.close()
     epochs = _csv(
         ["epoch", "loss", "accuracy"],
-        [[m.epoch, m.loss, m.accuracy] for m in result.epochs],
+        "%d,%.17g,%.17g\n",
+        [(m.epoch, m.loss, m.accuracy) for m in result.epochs],
     )
     final = result.epochs[-1]
     summary = f"{exp.epochs} epochs on {exp.workers} workers; final accuracy {final.accuracy:.4f}"
@@ -165,7 +161,8 @@ def _execute_fl(exp: FlExperiment, backend: str, port: int):
     metrics = federated.fl_metrics(result)
     rows = _csv(
         ["round", "test_accuracy", "test_loss", "contributors"],
-        [[m.round, m.test_accuracy, m.test_loss, m.contributors] for m in metrics],
+        "%d,%.17g,%.17g,%d\n",
+        [(m.round, m.test_accuracy, m.test_loss, m.contributors) for m in metrics],
     )
     final = metrics[-1]
     summary = (

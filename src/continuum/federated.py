@@ -363,16 +363,14 @@ def run_async(
         # training happens at the cadence tick; only the send is delayed
         payload = client.build_update(round_index)
         if delay > 0:
-            broker.call_at(
-                broker.now + delay, lambda: broker.publish(client.node, UPDATE_TOPIC, payload)
-            )
+            broker.call_at(broker.now + delay, broker.publish, client.node, UPDATE_TOPIC, payload)
         else:
             broker.publish(client.node, UPDATE_TOPIC, payload)
 
     server.broadcast()
     for r in range(config.rounds):
         for k, client in enumerate(clients):
-            broker.call_at(r * interval, lambda c=client, g=rngs[k], ri=r: fire(c, g, ri))
+            broker.call_at(r * interval, fire, client, rngs[k], r)
         broker.call_at((r + 0.5) * interval, server.aggregate)
     broker.drive(lambda: [] if server.done else [SERVER_NODE])
     return server.result()

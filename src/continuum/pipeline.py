@@ -163,7 +163,12 @@ class _StageRuntime:
         self.last_service_end: float | None = None
 
     def on_message(self, env) -> None:
-        item_id = wire.unpack(env.payload)["item_id"]
+        item_id = self.instance.item_ids.get(env.payload)
+        if item_id is None:
+            raise RuntimeError(
+                f"stage {self.spec.name!r} received a payload that is not one of this run's "
+                f"items on topic {env.topic!r} from {env.sender!r}"
+            )
         self.queue.append((item_id, env.payload, self.instance.broker.now))
         self._try_start()
 
@@ -182,8 +187,7 @@ class _StageRuntime:
                 )
                 if idle is None or idle >= self.spec.cold_idle_threshold_ms:
                     duration += self.spec.cold_start_ms
-            end = start + duration
-            broker.call_at(end, lambda i=item_id, p=payload, e=enqueue_ms, s=start: self._finish(i, p, e, s))
+            broker.call_at(start + duration, self._finish, item_id, payload, enqueue_ms, start)
 
     def _finish(self, item_id: int, payload: bytes, enqueue_ms: float, start_ms: float) -> None:
         broker = self.instance.broker
@@ -201,12 +205,18 @@ class _StageRuntime:
 
 
 class PipelineInstance:
-    """A pipeline wired onto a broker: one subscription and one queue per stage."""
+    """A pipeline wired onto a broker: one subscription and one queue per stage.
+
+    `run_pipeline` sets the service-time `rng` and maps each payload it packs
+    to its item id, so a stage reads the id without decoding the payload.
+    """
+
+    rng: np.random.Generator
 
     def __init__(self, spec: PipelineSpec, broker: SimBroker):
         self.spec = spec
         self.broker = broker
-        self.rng = np.random.default_rng(0)
+        self.item_ids: dict[bytes, int] = {}
         self.records: list[StageRecord] = []
         self.completions: dict[int, float] = {}
         self.stages = [_StageRuntime(s, self) for s in spec.stages]
@@ -227,15 +237,15 @@ def run_pipeline(
     """Inject the arrival schedule, drive every item to completion, and return the traces."""
     broker = instance.broker
     instance.rng = np.random.default_rng(seed)
+    instance.item_ids.clear()
     instance.records.clear()
     instance.completions.clear()
     validate_node_id(source_node)
     times = arrivals.times()
     for item_id, t in enumerate(times):
         payload = wire.pack({"item_id": item_id})
-        broker.call_at(
-            t, lambda p=payload: broker.publish(source_node, instance.spec.source_topic, p)
-        )
+        instance.item_ids[payload] = item_id
+        broker.call_at(t, broker.publish, source_node, instance.spec.source_topic, payload)
     broker.drive(lambda: [f"item {i}" for i in range(len(times)) if i not in instance.completions])
     traces = [ItemTrace(i, t, instance.completions[i]) for i, t in enumerate(times)]
     order = {s.name: i for i, s in enumerate(instance.spec.stages)}

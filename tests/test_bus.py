@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from continuum.bus import Envelope, LinkLatency, SimBroker
@@ -158,3 +160,61 @@ def test_handlers_fire_in_subscription_order_for_equal_times():
     broker.publish("edge:s", "t", b"")
     broker.run_until_idle()
     assert order == ["first", "second"]
+
+
+def test_publish_validation_holds_after_the_sender_published_validly():
+    broker = SimBroker()
+    broker.publish("edge:s", "t", b"")
+    for _ in range(2):  # a rejected pair is not remembered, so it is rejected again
+        with pytest.raises(ValueError, match="node id"):
+            broker.publish("nolayer", "t", b"")
+        for topic in ("t/+", "t/#", "+"):
+            with pytest.raises(ValueError, match="wildcard"):
+                broker.publish("edge:s", topic, b"")
+        with pytest.raises(ValueError, match="16 MiB"):
+            broker.publish("edge:s", "t", b"x" * (16 * 1024 * 1024 + 1))
+    broker.publish("edge:s", "t", b"")
+    assert len(broker.published) == 2
+
+
+def test_call_at_passes_arguments_and_fires_equal_times_in_scheduling_order():
+    broker = SimBroker()
+    fired = []
+
+    def record(*args):
+        fired.append((broker.now, args))
+
+    for i in range(4):
+        broker.call_at(10.0, record, i, f"arg{i}")
+    broker.call_at(10.0, lambda: fired.append((broker.now, "no arguments")))
+    broker.call_at(5.0, record)
+    broker.run_until_idle()
+    assert fired == [
+        (5.0, ()),
+        *[(10.0, (i, f"arg{i}")) for i in range(4)],
+        (10.0, "no arguments"),
+    ]
+
+
+def test_call_at_before_now_raises():
+    broker = SimBroker()
+    broker.call_at(10.0, lambda: None)
+    broker.run_until_idle()
+    with pytest.raises(ValueError, match="time is already 10.0 ms"):
+        broker.call_at(9.0, print, "too late")
+    assert broker.clock.pending() == 0
+
+
+def test_trace_log_has_one_deliver_line_per_delivery(caplog):
+    caplog.set_level(logging.DEBUG, logger="continuum.bus")
+    broker = SimBroker(latency=LinkLatency(default_ms=2.0))
+    broker.subscribe("fog:a", "t/#", lambda env: None)
+    broker.subscribe("fog:b", "t/+", lambda env: None)
+    broker.publish("edge:s", "t/1", b"")
+    broker.publish("edge:s", "t", b"")
+    broker.run_until_idle()
+    assert [r.getMessage() for r in caplog.records if r.name == "continuum.bus"] == [
+        "deliver t=2.000 topic=t/1 msg=1 -> fog:a",
+        "deliver t=2.000 topic=t/1 msg=1 -> fog:b",
+        "deliver t=2.000 topic=t msg=2 -> fog:a",
+    ]

@@ -182,6 +182,21 @@ def test_stall_names_the_item_that_never_completed():
         run_pipeline(instance, ArrivalSchedule(count=5, interval_ms=100.0))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [wire.pack({"item_id": 99}), wire.pack({"frame": 1})],
+    ids=["unknown-item-id", "no-item-id"],
+)
+def test_foreign_payload_at_a_stage_fails_naming_stage_topic_and_sender(payload):
+    broker = SimBroker()
+    instance = build_pipeline(chain_spec([100.0, 100.0]), broker)
+    broker.call_at(50.0, lambda: broker.publish("edge:intruder", "chain/1", payload))
+    with pytest.raises(
+        RuntimeError, match=r"^stage 's1' .* on topic 'chain/1' from 'edge:intruder'$"
+    ):
+        run_pipeline(instance, ArrivalSchedule(count=3, interval_ms=100.0))
+
+
 def test_fifo_and_work_conservation_per_stage():
     traces, records = run_chain(
         chain_spec([400.0, 900.0, 150.0]), ArrivalSchedule(count=25, interval_ms=300.0)
