@@ -13,7 +13,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Hashable, Protocol
+from typing import Callable, Collection, Hashable, NamedTuple, Protocol
 
 log = logging.getLogger("continuum.bus")
 
@@ -115,8 +115,7 @@ def validate_node_id(node: str) -> str:
     return node
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One published message as seen on the bus."""
 
     msg_id: int
@@ -207,6 +206,8 @@ class SimBroker:
 
     def __init__(self, latency: LinkLatency | None = None, max_events: int = 10_000_000):
         self.clock = SimClock()
+        # call_at(due_ms, fn, *args) is the clock's own method: an event's arguments are packed once
+        self.call_at = self.clock.call_at
         self.latency = latency if latency is not None else LinkLatency()
         self.max_events = max_events
         self._subs: dict[int, tuple[str, Handler]] = {}  # sub_id -> (node, handler)
@@ -220,9 +221,6 @@ class SimBroker:
     @property
     def now(self) -> float:
         return self.clock.now
-
-    def call_at(self, due_ms: float, fn: Callable[..., None], *args) -> None:
-        self.clock.call_at(due_ms, fn, *args)
 
     def subscribe(self, node: str, filt: str, handler: Handler) -> int:
         validate_node_id(node)

@@ -2,7 +2,9 @@
 
 Partitioning deals a seeded shuffle round-robin so part sizes never differ by
 more than one, and batch schedules walk each part sequentially with wraparound
-so every training round is replayable.
+so every training round is replayable. A dealt part is row indices into its
+dataset, so a federated client copies only the rows of its current batch;
+`partition` copies each part out, for shards that travel on the wire.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Dataset:
-    """A labelled sample block, checked on every construction.
+    """A labelled sample block, checked when it is built from new samples.
 
     This is the only place sample values are checked: features finite, labels
     in [0, num_classes). `nn` relies on it and checks shapes and labels only.
+    `take` builds a subset of checked rows without checking them again.
     """
 
     features: np.ndarray  # (n, d) float64
@@ -40,6 +43,31 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    def take(self, rows: np.ndarray | slice, name: str | None = None) -> Dataset:
+        """These rows, not checked again: they passed the checks when this Dataset was built.
+
+        An index array copies the rows, a slice views them. At least one row is required.
+        """
+        features = self.features[rows]
+        if features.shape[0] < 1:
+            raise ValueError("take needs at least one row")
+        subset = object.__new__(Dataset)  # skips __post_init__ and its scan of every value
+        subset.__dict__.update(features=features, labels=self.labels[rows],
+                               num_classes=self.num_classes,
+                               name=self.name if name is None else name)
+        return subset
+
+
+@dataclass(frozen=True)
+class Part:
+    """One dealt part: row indices into a checked Dataset, with no row copied."""
+
+    dataset: Dataset
+    rows: np.ndarray  # indices into dataset, in dealt order
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
 
 
 def class_directions(num_classes: int, dim: int, seed: int) -> np.ndarray:
@@ -147,29 +175,27 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f",{int(y)}\n")
 
 
-def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
+def deal(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:
     """Split into disjoint covering parts; samples keep shuffled order within a part."""
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     if num_parts > len(dataset):
         raise ValueError(f"cannot split {len(dataset)} samples into {num_parts} parts")
     perm = np.random.default_rng(seed).permutation(len(dataset))
-    parts = []
-    for k in range(num_parts):
-        idx = perm[k::num_parts]
-        parts.append(
-            Dataset(
-                dataset.features[idx],
-                dataset.labels[idx],
-                dataset.num_classes,
-                name=f"{dataset.name}/part{k}",
-            )
-        )
+    parts = [Part(dataset, perm[k::num_parts]) for k in range(num_parts)]
     assert sum(len(p) for p in parts) == len(dataset)
     return parts
 
 
-def next_round_batch(part: Dataset, round_index: int, samples_per_round: int) -> Dataset:
+def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
+    """The parts `deal` gives, each copied into its own Dataset, to travel as a shard."""
+    return [
+        dataset.take(part.rows, name=f"{dataset.name}/part{k}")
+        for k, part in enumerate(deal(dataset, num_parts, seed))
+    ]
+
+
+def next_round_batch(part: Part, round_index: int, samples_per_round: int) -> Dataset:
     """Samples [round*s, (round+1)*s) of the part, wrapping modulo its size."""
     if samples_per_round < 1:
         raise ValueError("samples_per_round must be >= 1")
@@ -177,4 +203,4 @@ def next_round_batch(part: Dataset, round_index: int, samples_per_round: int) ->
         raise ValueError("round_index must be >= 0")
     n = len(part)
     idx = (round_index * samples_per_round + np.arange(samples_per_round)) % n
-    return Dataset(part.features[idx], part.labels[idx], part.num_classes, name=part.name)
+    return part.dataset.take(part.rows[idx])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn, wire
 from .bus import Bus, Envelope, SimBroker
-from .data import Dataset, next_round_batch, partition
+from .data import Dataset, Part, deal, next_round_batch
 
 SERVER_NODE = "cloud:server"
 CLIENT_NODE = "fog:client-{client}"
@@ -133,7 +133,7 @@ def client_local_train(
     client_id: int,
     global_model: GlobalModel,
     round_index: int,
-    part: Dataset,
+    part: Part,
     config: FlConfig,
 ) -> ClientUpdate:
     """Train `local_epochs` full-batch steps on this round's streaming batch."""
@@ -154,16 +154,13 @@ def client_local_train(
 
 
 def split_train_test(dataset: Dataset) -> tuple[Dataset, Dataset]:
-    """First half trains, second half is the held-out test split."""
+    """First half trains, second half is the held-out test split; both are views."""
     n = len(dataset)
     half = n - n // 2
     if n < 2:
         raise ValueError("dataset too small to split")
-    train = Dataset(dataset.features[:half], dataset.labels[:half], dataset.num_classes,
-                    name=f"{dataset.name}/train")
-    test = Dataset(dataset.features[half:], dataset.labels[half:], dataset.num_classes,
-                   name=f"{dataset.name}/test")
-    return train, test
+    return (dataset.take(slice(None, half), name=f"{dataset.name}/train"),
+            dataset.take(slice(half, None), name=f"{dataset.name}/test"))
 
 
 def _update_payload(update: ClientUpdate) -> bytes:
@@ -277,7 +274,7 @@ class _SyncServer(_Server):
 
 
 class _Client:
-    def __init__(self, client_id: int, config: FlConfig, broker: Bus, part: Dataset):
+    def __init__(self, client_id: int, config: FlConfig, broker: Bus, part: Part):
         self.client_id = client_id
         self.config = config
         self.broker = broker
@@ -316,10 +313,10 @@ def check_fit(config: FlConfig, dataset: Dataset) -> None:
         raise ValueError(f"{config.num_clients} clients cannot share {train_size} training samples")
 
 
-def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Dataset]]:
+def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Part]]:
     check_fit(config, dataset)
     train, test = split_train_test(dataset)
-    return test, partition(train, config.num_clients, config.seed)
+    return test, deal(train, config.num_clients, config.seed)
 
 
 def run_sync(config: FlConfig, broker: Bus, dataset: Dataset) -> FlRunResult:

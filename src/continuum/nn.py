@@ -5,9 +5,10 @@ updates return new models. All math is float64. Each layer allocates one
 array, its matmul output, and adds the bias and applies the activation or the
 softmax in place on it; backprop likewise overwrites only arrays it allocated.
 Nothing here writes to the caller's features or labels, or to a model or
-gradient array. The flat parameter layout (layer 0 weights row-major, layer 0
-biases, layer 1 weights, ...) is a frozen wire format: reordering it breaks
-every serialized model in flight.
+gradient array, so models and gradients rebuilt from a flat vector are views
+into it, which may be read-only. The flat parameter layout (layer 0 weights
+row-major, layer 0 biases, layer 1 weights, ...) is a frozen wire format:
+reordering it breaks every serialized model in flight.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _flatten(weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]) ->
 def _unflatten(
     sizes: tuple[int, ...], vector: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) copied out of a canonical flat vector; inverse of _flatten."""
+    """Per-layer (weights, biases) as views into a canonical flat vector; inverse of _flatten."""
     vec = np.asarray(vector, dtype=np.float64)
     expected = param_count(sizes)
     if vec.ndim != 1 or vec.shape[0] != expected:
@@ -281,9 +282,9 @@ def _unflatten(
     biases = []
     offset = 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+        weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
         offset += fan_in * fan_out
-        biases.append(vec[offset : offset + fan_out].copy())
+        biases.append(vec[offset : offset + fan_out])
         offset += fan_out
     return tuple(weights), tuple(biases)
 
@@ -298,7 +299,10 @@ def deserialize_params(
     hidden_activation: str,
     vector: np.ndarray,
 ) -> MlpModel:
-    """Rebuild a model from a canonical flat vector; exact inverse of serialize_params."""
+    """Rebuild a model from a canonical flat vector; exact inverse of serialize_params.
+
+    The model's arrays are views into `vector`, which must not change while the model is used.
+    """
     sizes = tuple(int(s) for s in layer_sizes)
     return MlpModel(sizes, hidden_activation, *_unflatten(sizes, vector))
 
@@ -313,7 +317,10 @@ def deserialize_gradients(
     vector: np.ndarray,
     sample_count: int,
 ) -> Gradients:
-    """Rebuild gradients from a canonical flat vector; exact inverse of serialize_gradients."""
+    """Rebuild gradients from a canonical flat vector; exact inverse of serialize_gradients.
+
+    The gradient arrays are views into `vector`, as deserialize_params' are.
+    """
     weights, biases = _unflatten(tuple(int(s) for s in layer_sizes), vector)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")

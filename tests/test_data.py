@@ -14,6 +14,11 @@ def index_dataset(n: int, num_classes: int = 4) -> data.Dataset:
     return data.Dataset(features, labels, num_classes, name="indexed")
 
 
+def whole_part(ds: data.Dataset) -> data.Part:
+    """Every row of `ds`, in order, as one part."""
+    return data.Part(ds, np.arange(len(ds)))
+
+
 def centroid_oracle_accuracy(ds: data.Dataset) -> float:
     """Nearest empirical-class-centroid classifier; independent of any model code."""
     centroids = np.stack(
@@ -175,10 +180,30 @@ def test_partition_properties(n, parts, seed):
     assert max(counts) - min(counts) <= 1
     again = data.partition(ds, parts, seed)
     assert all(np.array_equal(a, b.features[:, 0]) for a, b in zip(members, again))
+    dealt = data.deal(ds, parts, seed)  # the same deal, as row indices
+    assert all(p.dataset is ds for p in dealt)
+    assert all(np.array_equal(a, p.rows) for a, p in zip(members, dealt))
+
+
+@given(n=st.integers(1, 200), parts=st.integers(1, 9), per_round=st.integers(1, 50),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_round_batches_gathered_by_index_equal_batches_of_copied_parts(n, parts, per_round, seed):
+    parts = min(parts, n)
+    rng = np.random.default_rng(seed)
+    ds = data.Dataset(rng.normal(size=(n, 3)), rng.integers(0, 5, size=n), 5, name="rand")
+    copies = data.partition(ds, parts, seed)
+    for part, copy in zip(data.deal(ds, parts, seed), copies):
+        for r in range(2 * n // per_round + 2):  # past the wrap of every part
+            idx = (r * per_round + np.arange(per_round)) % len(copy)
+            batch = data.next_round_batch(part, r, per_round)
+            assert batch.features.tobytes() == copy.features[idx].tobytes()
+            assert batch.labels.tobytes() == copy.labels[idx].tobytes()
+            assert batch.num_classes == 5
 
 
 def test_next_round_batch_sequential_and_wrapping():
-    part = index_dataset(6000)
+    part = whole_part(index_dataset(6000))
     batches = [data.next_round_batch(part, r, 60) for r in range(100)]
     seen = np.concatenate([b.features[:, 0] for b in batches]).astype(int)
     assert len(set(seen.tolist())) == 6000  # 100 disjoint batches before the wrap
@@ -187,9 +212,9 @@ def test_next_round_batch_sequential_and_wrapping():
 
 
 def test_next_round_batch_whole_part_and_validation():
-    part = index_dataset(30)
+    part = whole_part(index_dataset(30))
     whole = data.next_round_batch(part, 0, 30)
-    assert np.array_equal(whole.features, part.features)
+    assert np.array_equal(whole.features, part.dataset.features)
     with pytest.raises(ValueError):
         data.next_round_batch(part, 0, 0)
     with pytest.raises(ValueError):
@@ -197,7 +222,7 @@ def test_next_round_batch_whole_part_and_validation():
 
 
 def test_round_batches_cover_min_of_budget_and_part():
-    part = index_dataset(100)
+    part = whole_part(index_dataset(100))
     rounds, per_round = 7, 9
     seen = set()
     for r in range(rounds):
@@ -212,6 +237,20 @@ def test_dataset_validation():
         data.Dataset(np.array([[np.inf, 0.0]]), np.array([0]), num_classes=2)
     with pytest.raises(ValueError):
         data.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), num_classes=2)
+
+
+def test_take_views_a_slice_copies_indexed_rows_and_checks_nothing_again(monkeypatch):
+    ds = index_dataset(10)
+    head = ds.take(slice(None, 4), name="head")
+    rows = ds.take(np.array([7, 2]))
+    assert np.shares_memory(head.features, ds.features) and head.name == "head"
+    assert not np.shares_memory(rows.features, ds.features) and rows.name == "indexed"
+    assert rows.features[:, 0].tolist() == [7.0, 2.0] and rows.labels.tolist() == [3, 2]
+    assert (len(head), len(rows), rows.num_classes) == (4, 2, 4)
+    monkeypatch.setattr(np, "isfinite", None)  # a re-scan would call it
+    ds.take(slice(2, None))
+    with pytest.raises(ValueError):
+        ds.take(slice(10, None))
 
 
 def test_synth_blobs_adds_centres_in_place_bit_for_bit():

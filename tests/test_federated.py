@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from continuum import federated, nn, wire
 from continuum.bus import SimBroker
-from continuum.data import next_round_batch, partition, synth_blobs
+from continuum.data import Part, deal, next_round_batch, synth_blobs
 from continuum.federated import ClientUpdate, FlConfig, GlobalModel, StragglerModel
 
 
@@ -93,7 +95,7 @@ def test_fedavg_convex_combination_property(data):
 
 def test_client_identity_when_no_local_work():
     config = small_config()
-    part = partition(small_dataset(), config.num_clients, config.seed)[0]
+    part = deal(small_dataset(), config.num_clients, config.seed)[0]
     model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
     start = GlobalModel(0, nn.serialize_params(model))
 
@@ -106,7 +108,7 @@ def test_client_identity_when_no_local_work():
 
 def test_client_update_shape_for_fmcw_model():
     config = small_config(layer_sizes=(512, 32, 8), samples_per_round=60, clients=1)
-    part = synth_blobs(200, 512, 8, separation=6.0, seed=1)
+    part = Part(synth_blobs(200, 512, 8, separation=6.0, seed=1), np.arange(200))
     model = nn.init_model((512, 32, 8), "sigmoid", 1)
     update = federated.client_local_train(2, GlobalModel(5, nn.serialize_params(model)), 5, part, config)
     assert update.params.shape == (16_680,)
@@ -117,7 +119,7 @@ def test_client_update_shape_for_fmcw_model():
 
 def test_client_rejects_wrong_param_length():
     config = small_config()
-    part = partition(small_dataset(), config.num_clients, config.seed)[0]
+    part = deal(small_dataset(), config.num_clients, config.seed)[0]
     with pytest.raises(ValueError):
         federated.client_local_train(0, GlobalModel(0, np.zeros(7)), 0, part, config)
 
@@ -149,7 +151,7 @@ def test_sync_single_client_matches_solo_training():
     result, _ = run_sync(config, dataset)
 
     train, test = federated.split_train_test(dataset)
-    part = partition(train, 1, config.seed)[0]
+    part = deal(train, 1, config.seed)[0]
     model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
     for r in range(config.rounds):
         batch = next_round_batch(part, r, config.samples_per_round)
@@ -196,6 +198,22 @@ def test_split_is_half_and_half():
     assert np.array_equal(
         np.concatenate([train.features, test.features]), dataset.features
     )
+
+
+def test_fl_setup_copies_no_training_rows():
+    config = small_config(layer_sizes=(64, 5, 3), clients=10)
+    dataset = synth_blobs(8000, 64, 3, separation=3.0, seed=21)
+    train_bytes = (len(dataset) - len(dataset) // 2) * 64 * 8
+    tracemalloc.start()
+    try:
+        test, parts = federated._prepare(config, dataset)  # what run_sync and run_async set up
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * train_bytes, f"FL setup traced {peak} bytes"
+    assert sorted(np.concatenate([p.rows for p in parts]).tolist()) == list(range(4000))
+    assert all(np.shares_memory(p.dataset.features, dataset.features) for p in parts)
+    assert np.shares_memory(test.features, dataset.features)
 
 
 # --- async runs ---

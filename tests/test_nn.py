@@ -256,6 +256,36 @@ def test_deserialize_rejects_wrong_length():
     nn.deserialize_params([512, 32, 8], "sigmoid", np.zeros(16680))
 
 
+def test_deserialized_arrays_are_views_into_their_vector():
+    sizes = (7, 5, 4, 3)
+    vec = nn.serialize_params(nn.init_model(sizes, "tanh", seed=13))
+    model = nn.deserialize_params(sizes, "tanh", vec)
+    grads = nn.deserialize_gradients(sizes, vec, 3)
+    for arr in model.weights + model.biases + grads.weights + grads.biases:
+        assert np.shares_memory(arr, vec)
+
+
+@pytest.mark.parametrize("activation", nn.HIDDEN_ACTIVATIONS)
+@pytest.mark.parametrize("sizes", [(7, 6, 5, 4), (512, 32, 8)])
+def test_models_on_a_read_only_vector_match_models_on_copies(sizes, activation):
+    rng = np.random.default_rng(5)
+    vec = rng.normal(scale=0.3, size=nn.param_count(sizes))
+    vec.flags.writeable = False
+    viewed = nn.deserialize_params(sizes, activation, vec)
+    copied = nn.MlpModel(sizes, activation, tuple(w.copy() for w in viewed.weights),
+                         tuple(b.copy() for b in viewed.biases))
+    features = rng.normal(size=(60, sizes[0]))
+    labels = rng.integers(0, sizes[-1], size=60)
+    assert nn.forward(viewed, features).tobytes() == nn.forward(copied, features).tobytes()
+    assert nn.evaluate(viewed, features, labels) == nn.evaluate(copied, features, labels)
+    flat = nn.serialize_gradients(nn.gradient(viewed, features, labels))
+    assert flat.tobytes() == nn.serialize_gradients(nn.gradient(copied, features, labels)).tobytes()
+    flat.flags.writeable = False
+    grads = nn.deserialize_gradients(sizes, flat, 60)
+    stepped = nn.serialize_params(nn.sgd_step(viewed, grads, 0.1))
+    assert stepped.tobytes() == nn.serialize_params(nn.sgd_step(copied, grads, 0.1)).tobytes()
+
+
 def test_weighted_mean_accumulates_in_ascending_id_order():
     rng = np.random.default_rng(7)
     vectors = [rng.normal(size=5) for _ in range(4)]
