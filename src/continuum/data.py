@@ -3,8 +3,9 @@
 Partitioning deals a seeded shuffle round-robin so part sizes never differ by
 more than one, and batch schedules walk each part sequentially with wraparound
 so every training round is replayable. A dealt part is row indices into its
-dataset, so a federated client copies only the rows of its current batch;
-`partition` copies each part out, for shards that travel on the wire.
+dataset, with no row copied: a federated client copies only the rows of its
+current batch, and the dist-train coordinator copies each shard once, to send
+it, and scatters its workers' per-row results back through the indices.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f",{int(y)}\n")
 
 
-def deal(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:
-    """Split into disjoint covering parts; samples keep shuffled order within a part."""
+def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:
+    """Deal a seeded shuffle into disjoint covering parts, as row indices in dealt order."""
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     if num_parts > len(dataset):
@@ -185,14 +186,6 @@ def deal(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:
     parts = [Part(dataset, perm[k::num_parts]) for k in range(num_parts)]
     assert sum(len(p) for p in parts) == len(dataset)
     return parts
-
-
-def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Dataset]:
-    """The parts `deal` gives, each copied into its own Dataset, to travel as a shard."""
-    return [
-        dataset.take(part.rows, name=f"{dataset.name}/part{k}")
-        for k, part in enumerate(deal(dataset, num_parts, seed))
-    ]
 
 
 def next_round_batch(part: Part, round_index: int, samples_per_round: int) -> Dataset:

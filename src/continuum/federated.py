@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn, wire
 from .bus import Bus, Envelope, SimBroker
-from .data import Dataset, Part, deal, next_round_batch
+from .data import Dataset, Part, next_round_batch, partition
 
 SERVER_NODE = "cloud:server"
 CLIENT_NODE = "fog:client-{client}"
@@ -316,7 +316,7 @@ def check_fit(config: FlConfig, dataset: Dataset) -> None:
 def _prepare(config: FlConfig, dataset: Dataset) -> tuple[Dataset, list[Part]]:
     check_fit(config, dataset)
     train, test = split_train_test(dataset)
-    return test, deal(train, config.num_clients, config.seed)
+    return test, partition(train, config.num_clients, config.seed)
 
 
 def run_sync(config: FlConfig, broker: Bus, dataset: Dataset) -> FlRunResult:

@@ -87,11 +87,17 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class Gradients:
-    """Per-layer gradients shaped exactly like the model, plus the batch size."""
+    """Per-layer gradients shaped exactly like the model, plus the batch size.
+
+    `gradient` also keeps its forward pass's class probabilities in `probs`, so
+    `eval_terms` can score the model the gradient was taken at without a second
+    forward pass; gradients rebuilt from the wire or summed have none.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     sample_count: int
+    probs: np.ndarray | None = None
 
 
 def param_count(layer_sizes: tuple[int, ...] | list[int]) -> int:
@@ -188,9 +194,10 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
     _check_samples(model, features, labels)
     acts = _forward_trace(model, features)
     n = features.shape[0]
-    delta = acts[-1]  # the probabilities; nothing else reads them
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    probs = acts[-1]  # kept on the result for eval_terms, so delta is a new array
+    delta = probs / n
+    rows = np.arange(n)
+    delta[rows, labels] = (probs[rows, labels] - 1.0) / n
     grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
@@ -199,7 +206,7 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
         if l > 0:
             delta = delta @ model.weights[l].T
             delta *= _activate_grad_in_place(model.hidden_activation, acts[l])
-    return Gradients(tuple(grad_w), tuple(grad_b), n)
+    return Gradients(tuple(grad_w), tuple(grad_b), n, probs)
 
 
 def _check_shapes(model: MlpModel, grads: Gradients) -> None:
@@ -250,15 +257,30 @@ class EvalResult:
     accuracy: float
     mean_loss: float
 
+    @classmethod
+    def from_terms(cls, picked: np.ndarray, correct: int) -> EvalResult:
+        """correct / n and the mean of -ln p(true class) over the n rows of `picked`.
+
+        The one loss and accuracy formula. np.mean sums in a fixed pairwise order,
+        so rows gathered from several batches must be in the order evaluate would see.
+        """
+        return cls(correct / picked.shape[0], float(-np.mean(np.log(picked))))
+
+
+def eval_terms(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-row p(true class), and how many rows the argmax classifies correctly.
+
+    Ties go to the lowest class index, as np.argmax returns the first maximum.
+    """
+    picked = probs[np.arange(labels.shape[0]), labels]
+    correct = int(np.count_nonzero(np.argmax(probs, axis=1) == labels))
+    return picked, correct
+
 
 def evaluate(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> EvalResult:
-    """Argmax accuracy (ties -> the lowest class index) and mean cross-entropy."""
+    """Argmax accuracy and mean cross-entropy of the model on these samples."""
     _check_samples(model, features, labels)
-    probs = forward(model, features)
-    predicted = np.argmax(probs, axis=1)  # np.argmax returns the first (lowest) max index
-    accuracy = float(np.mean(predicted == labels))
-    picked = probs[np.arange(features.shape[0]), labels]
-    return EvalResult(accuracy, float(-np.mean(np.log(picked))))
+    return EvalResult.from_terms(*eval_terms(forward(model, features), labels))
 
 
 def _flatten(weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]) -> np.ndarray:

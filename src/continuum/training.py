@@ -5,6 +5,21 @@ the coordinator applies one sample-weighted averaged step per epoch. Because
 the mean gradient over a partition equals the full-dataset gradient, a run
 with any worker count reproduces single-process full-batch gradient descent,
 which is what the tests check against.
+
+Each gradient message also carries the loss and accuracy terms of the forward
+pass the worker ran for it: p(true class) for every shard row, in shard order,
+and the count of rows classified correctly. Epoch e+1's gradients are taken at
+the model epoch e produced, so once they are all in, the coordinator scatters
+their terms into dataset order and records epoch e's metrics from them. It
+evaluates only the final model itself. The terms epoch 1 brings describe the
+initial model, which has no row.
+
+These rows equal `nn.evaluate` on the full dataset bit for bit when the BLAS
+computes each row of a shard's matmuls as it does in the full batch. OpenBLAS
+0.3.31 does for the layer shapes of the bundled and benchmark configs, on shards
+of two or more rows, which the tests check; on other shapes a row may differ
+from `nn.evaluate` in its last bits (around 1e-14 relative). Either way a run
+is deterministic, and the TCP and sim buses give the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ import numpy as np
 
 from . import nn, wire
 from .bus import Bus
-from .data import Dataset, partition
+from .data import Dataset, Part, partition
 
 ASSIGN_TOPIC = "train/job/worker/{worker}"
 GRADS_TOPIC = "train/job/gradients"
@@ -99,6 +114,7 @@ class _Worker:
         params = wire.decode_f64(msg["params"])
         model = nn.deserialize_params(self.job.layer_sizes, self.job.hidden_activation, params)
         grads = worker_epoch(self.shard, model)
+        picked, correct = nn.eval_terms(grads.probs, self.shard.labels)
         self.broker.publish(
             self.node,
             GRADS_TOPIC,
@@ -108,28 +124,33 @@ class _Worker:
                     "epoch": msg["epoch"],
                     "grads": wire.encode_f64(nn.serialize_gradients(grads)),
                     "sample_count": grads.sample_count,
+                    "picked": wire.encode_f64(picked),
+                    "correct": correct,
                 }
             ),
         )
 
 
 class _Coordinator:
-    def __init__(self, job: TrainJob, broker: Bus, shards: list[Dataset]):
+    def __init__(self, job: TrainJob, broker: Bus, parts: list[Part]):
         self.job = job
         self.broker = broker
-        self.shards = shards
+        self.parts = parts
         self.model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
         self.epoch = 1
         self.pending: dict[int, tuple[int, np.ndarray, int]] = {}  # worker -> flat gradients
+        self.picked = np.empty(len(job.dataset))  # p(true class) per dataset row, this epoch
+        self.correct = 0  # rows classified correctly, summed over this epoch's gradients
         self.metrics: list[EpochMetrics] = []
         self.done = False
         broker.subscribe(COORDINATOR_NODE, GRADS_TOPIC, self.on_gradient)
 
     def broadcast(self, first: bool) -> None:
         params = wire.encode_f64(nn.serialize_params(self.model))
-        for k, shard in enumerate(self.shards):
+        for k, part in enumerate(self.parts):
             msg: dict = {"epoch": self.epoch, "params": params}
-            if first:
+            if first:  # the shard travels once, as a copy of its rows
+                shard = part.dataset.take(part.rows)
                 msg.update(
                     shard_features=wire.encode_f64(shard.features.ravel()),
                     shard_shape=list(shard.features.shape),
@@ -172,18 +193,36 @@ class _Coordinator:
             raise RuntimeError(
                 f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
             )
+        picked, correct = wire.decode_f64(msg["picked"]), msg["correct"]
+        rows = self.parts[worker_id].rows
+        if picked.shape[0] != rows.shape[0]:
+            raise RuntimeError(
+                f"{env.sender}: gradient of worker {worker_id} has {picked.shape[0]} picked "
+                f"probabilities for a shard of {rows.shape[0]} rows"
+            )
+        if type(correct) is not int or not 0 <= correct <= sample_count:
+            raise RuntimeError(
+                f"{env.sender}: gradient of worker {worker_id} has correct {correct!r}, "
+                f"not an int in [0, {sample_count}]"
+            )
         self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), sample_count)
+        self.picked[rows] = picked
+        self.correct += correct
         if len(self.pending) < self.job.num_workers:
             return
         gathered = list(self.pending.values())
         self.pending.clear()
+        if self.epoch > 1:  # these gradients were taken at the model of the epoch before
+            result = nn.EvalResult.from_terms(self.picked, self.correct)
+            self.metrics.append(EpochMetrics(self.epoch - 1, result.mean_loss, result.accuracy))
+        self.correct = 0
         self.model = aggregate_and_step(self.model, gathered, self.job.learning_rate)
-        result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)
-        self.metrics.append(EpochMetrics(self.epoch, result.mean_loss, result.accuracy))
         if self.epoch < self.job.epochs:
             self.epoch += 1
             self.broadcast(first=False)
         else:
+            result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)
+            self.metrics.append(EpochMetrics(self.epoch, result.mean_loss, result.accuracy))
             self.done = True
 
 
@@ -197,8 +236,7 @@ class JobHandle:
 
 def submit_job(job: TrainJob, broker: Bus) -> JobHandle:
     """Wire coordinator and workers onto the broker and send the first assignments."""
-    shards = partition(job.dataset, job.num_workers, job.seed)
-    coordinator = _Coordinator(job, broker, shards)
+    coordinator = _Coordinator(job, broker, partition(job.dataset, job.num_workers, job.seed))
     workers = [_Worker(k, job, broker) for k in range(job.num_workers)]
     coordinator.broadcast(first=True)
     return JobHandle(job, broker, coordinator, workers)

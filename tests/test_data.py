@@ -140,16 +140,17 @@ def test_partition_sizes_for_16000_across_3():
 def test_partition_is_disjoint_cover():
     ds = index_dataset(101)
     parts = data.partition(ds, 4, seed=0)
-    seen = np.concatenate([p.features[:, 0] for p in parts])
-    assert sorted(seen.astype(int).tolist()) == list(range(101))
+    seen = np.concatenate([p.rows for p in parts])
+    assert sorted(seen.tolist()) == list(range(101))
+    assert all(p.dataset is ds for p in parts)  # indices into ds, no row copied
 
 
 def test_partition_single_part_is_permutation():
     ds = index_dataset(50)
     (part,) = data.partition(ds, 1, seed=1)
     assert len(part) == 50
-    assert sorted(part.features[:, 0].astype(int).tolist()) == list(range(50))
-    assert not np.array_equal(part.features[:, 0], np.arange(50))  # actually shuffled
+    assert sorted(part.rows.tolist()) == list(range(50))
+    assert not np.array_equal(part.rows, np.arange(50))  # actually shuffled
 
 
 def test_partition_determinism_and_errors():
@@ -157,7 +158,7 @@ def test_partition_determinism_and_errors():
     a = data.partition(ds, 3, seed=7)
     b = data.partition(ds, 3, seed=7)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.features, pb.features)
+        assert np.array_equal(pa.rows, pb.rows)
     with pytest.raises(ValueError):
         data.partition(ds, 21, seed=0)
     with pytest.raises(ValueError):
@@ -173,16 +174,16 @@ def test_partition_properties(n, parts, seed):
             data.partition(ds, parts, seed)
         return
     split = data.partition(ds, parts, seed)
-    members = [p.features[:, 0].astype(int) for p in split]
+    assert all(p.dataset is ds for p in split)
+    members = [p.rows for p in split]
     assert sorted(np.concatenate(members).tolist()) == list(range(n))
-    counts = [len(m) for m in members]
+    counts = [len(p) for p in split]
     assert min(counts) >= 1
     assert max(counts) - min(counts) <= 1
     again = data.partition(ds, parts, seed)
-    assert all(np.array_equal(a, b.features[:, 0]) for a, b in zip(members, again))
-    dealt = data.deal(ds, parts, seed)  # the same deal, as row indices
-    assert all(p.dataset is ds for p in dealt)
-    assert all(np.array_equal(a, p.rows) for a, p in zip(members, dealt))
+    assert all(np.array_equal(a, p.rows) for a, p in zip(members, again))
+    copies = [ds.take(p.rows) for p in split]  # a dist-train shard is its rows copied out
+    assert all(np.array_equal(a, c.features[:, 0].astype(int)) for a, c in zip(members, copies))
 
 
 @given(n=st.integers(1, 200), parts=st.integers(1, 9), per_round=st.integers(1, 50),
@@ -192,8 +193,8 @@ def test_round_batches_gathered_by_index_equal_batches_of_copied_parts(n, parts,
     parts = min(parts, n)
     rng = np.random.default_rng(seed)
     ds = data.Dataset(rng.normal(size=(n, 3)), rng.integers(0, 5, size=n), 5, name="rand")
-    copies = data.partition(ds, parts, seed)
-    for part, copy in zip(data.deal(ds, parts, seed), copies):
+    dealt = data.partition(ds, parts, seed)
+    for part, copy in zip(dealt, [ds.take(p.rows) for p in dealt]):
         for r in range(2 * n // per_round + 2):  # past the wrap of every part
             idx = (r * per_round + np.arange(per_round)) % len(copy)
             batch = data.next_round_batch(part, r, per_round)
@@ -237,6 +238,16 @@ def test_dataset_validation():
         data.Dataset(np.array([[np.inf, 0.0]]), np.array([0]), num_classes=2)
     with pytest.raises(ValueError):
         data.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), num_classes=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("shape", [(1, 3), (5000, 3), (300, 700)])
+def test_a_non_finite_value_in_the_first_or_last_row_is_rejected(value, row, shape):
+    features = np.zeros(shape)
+    features[row, -1 if row == 0 else 0] = value
+    with pytest.raises(ValueError, match="features must be finite"):
+        data.Dataset(features, np.zeros(shape[0], dtype=np.int64), 2)
 
 
 def test_take_views_a_slice_copies_indexed_rows_and_checks_nothing_again(monkeypatch):

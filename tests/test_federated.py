@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from continuum import federated, nn, wire
 from continuum.bus import SimBroker
-from continuum.data import Part, deal, next_round_batch, synth_blobs
+from continuum.data import Part, next_round_batch, partition, synth_blobs
 from continuum.federated import ClientUpdate, FlConfig, GlobalModel, StragglerModel
 
 
@@ -95,7 +95,7 @@ def test_fedavg_convex_combination_property(data):
 
 def test_client_identity_when_no_local_work():
     config = small_config()
-    part = deal(small_dataset(), config.num_clients, config.seed)[0]
+    part = partition(small_dataset(), config.num_clients, config.seed)[0]
     model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
     start = GlobalModel(0, nn.serialize_params(model))
 
@@ -119,7 +119,7 @@ def test_client_update_shape_for_fmcw_model():
 
 def test_client_rejects_wrong_param_length():
     config = small_config()
-    part = deal(small_dataset(), config.num_clients, config.seed)[0]
+    part = partition(small_dataset(), config.num_clients, config.seed)[0]
     with pytest.raises(ValueError):
         federated.client_local_train(0, GlobalModel(0, np.zeros(7)), 0, part, config)
 
@@ -151,7 +151,7 @@ def test_sync_single_client_matches_solo_training():
     result, _ = run_sync(config, dataset)
 
     train, test = federated.split_train_test(dataset)
-    part = deal(train, 1, config.seed)[0]
+    part = partition(train, 1, config.seed)[0]
     model = nn.init_model(config.layer_sizes, config.hidden_activation, config.seed)
     for r in range(config.rounds):
         batch = next_round_batch(part, r, config.samples_per_round)
