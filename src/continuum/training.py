@@ -14,12 +14,14 @@ their terms into dataset order and records epoch e's metrics from them. It
 evaluates only the final model itself. The terms epoch 1 brings describe the
 initial model, which has no row.
 
-These rows equal `nn.evaluate` on the full dataset bit for bit when the BLAS
-computes each row of a shard's matmuls as it does in the full batch. OpenBLAS
-0.3.31 does for the layer shapes of the bundled and benchmark configs, on shards
-of two or more rows, which the tests check; on other shapes a row may differ
-from `nn.evaluate` in its last bits (around 1e-14 relative). Either way a run
-is deterministic, and the TCP and sim buses give the same bits.
+Those rows equal `nn.evaluate` on the full dataset bit for bit only if the BLAS
+computes each shard's rows as it computes them in the full batch, which depends
+on the kernel it picks for each shape: a one-row shard, for one, is a
+matrix-vector product. So before the first epoch the coordinator probes the
+job's layer shapes and shards with `nn.batch_invariant`; where they are not
+invariant, it evaluates every epoch's model itself, and the workers' terms are
+only checked. Either way the rows are `nn.evaluate`'s, a run is deterministic,
+and the TCP and sim buses give the same bits.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ class _Coordinator:
         self.broker = broker
         self.parts = parts
         self.model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
+        # Whether the workers' forward passes give every row the bits nn.evaluate gives it;
+        # if not, the coordinator evaluates each epoch's model itself.
+        self.rows_from_workers = nn.batch_invariant(
+            job.layer_sizes, len(job.dataset), [part.rows for part in parts]
+        )
         self.epoch = 1
         self.pending: dict[int, tuple[int, np.ndarray, int]] = {}  # worker -> flat gradients
         self.picked = np.empty(len(job.dataset))  # p(true class) per dataset row, this epoch
@@ -200,10 +207,15 @@ class _Coordinator:
                 f"{env.sender}: gradient of worker {worker_id} has {picked.shape[0]} picked "
                 f"probabilities for a shard of {rows.shape[0]} rows"
             )
-        if type(correct) is not int or not 0 <= correct <= sample_count:
+        if not ((picked >= 0.0) & (picked <= 1.0)).all():  # NaN fails both
+            raise RuntimeError(
+                f"{env.sender}: gradient of worker {worker_id} has a picked probability "
+                f"outside [0, 1]"
+            )
+        if type(correct) is not int or not 0 <= correct <= rows.shape[0]:
             raise RuntimeError(
                 f"{env.sender}: gradient of worker {worker_id} has correct {correct!r}, "
-                f"not an int in [0, {sample_count}]"
+                f"not an int in [0, {rows.shape[0]}]"
             )
         self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), sample_count)
         self.picked[rows] = picked
@@ -212,17 +224,18 @@ class _Coordinator:
             return
         gathered = list(self.pending.values())
         self.pending.clear()
-        if self.epoch > 1:  # these gradients were taken at the model of the epoch before
+        if self.rows_from_workers and self.epoch > 1:  # taken at the model of the epoch before
             result = nn.EvalResult.from_terms(self.picked, self.correct)
             self.metrics.append(EpochMetrics(self.epoch - 1, result.mean_loss, result.accuracy))
         self.correct = 0
         self.model = aggregate_and_step(self.model, gathered, self.job.learning_rate)
+        if not self.rows_from_workers or self.epoch == self.job.epochs:
+            result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)
+            self.metrics.append(EpochMetrics(self.epoch, result.mean_loss, result.accuracy))
         if self.epoch < self.job.epochs:
             self.epoch += 1
             self.broadcast(first=False)
         else:
-            result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)
-            self.metrics.append(EpochMetrics(self.epoch, result.mean_loss, result.accuracy))
             self.done = True
 
 

@@ -426,6 +426,31 @@ def test_softmax_rows_sum_to_one(layers, seed, data):
     assert (probs >= 0).all() and (probs <= 1).all()
 
 
+def test_batch_invariant_where_no_matmul_has_a_sum():
+    """A fan-in of 1 leaves every output one product: the same bits in any kernel."""
+    groups = [np.array([3]), np.array([0, 4, 1]), np.array([2])]
+    assert nn.batch_invariant((1, 5), 5, groups)
+
+
+@given(n=st.integers(1, 60), parts=st.integers(1, 7), seed=st.integers(0, 2**31),
+       activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+       sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_forward_on_each_group_equals_those_rows_wherever_batch_invariant(
+    n, parts, seed, activation, sizes
+):
+    """Where this BLAS sums a group's rows in another order than the full batch's
+    (one-row groups, some fan-outs), batch_invariant must say so."""
+    rng = np.random.default_rng(seed)
+    groups = np.array_split(rng.permutation(n), min(parts, n))
+    model = nn.init_model(sizes, activation, seed)
+    features = rng.normal(size=(n, sizes[0]))
+    whole = nn.forward(model, features)
+    if nn.batch_invariant(tuple(sizes), n, groups):
+        for rows in groups:
+            assert nn.forward(model, features[rows]).tobytes() == whole[rows].tobytes()
+
+
 @given(seed=st.integers(0, 2**31))
 @settings(max_examples=25, deadline=None)
 def test_gradient_matches_finite_differences_random_models(seed):
