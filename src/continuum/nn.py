@@ -194,10 +194,12 @@ def batch_invariant(
     """
     rng = np.random.default_rng(0)
     for fan_in, fan_out in sorted(set(zip(layer_sizes[:-1], layer_sizes[1:]))):
-        a = rng.random((num_rows, fan_in)) - 0.5
+        a = rng.random((num_rows, fan_in))
+        a -= 0.5
         parts = [a[rows] for rows in groups]  # each a copy, as a worker's shard is
         for _ in range(_INVARIANCE_DRAWS):
-            w = rng.random((fan_in, fan_out)) - 0.5
+            w = rng.random((fan_in, fan_out))
+            w -= 0.5
             z = a @ w
             if not all(np.array_equal(p @ w, z[rows]) for p, rows in zip(parts, groups)):
                 return False

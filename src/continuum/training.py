@@ -17,11 +17,11 @@ initial model, which has no row.
 Those rows equal `nn.evaluate` on the full dataset bit for bit only if the BLAS
 computes each shard's rows as it computes them in the full batch, which depends
 on the kernel it picks for each shape: a one-row shard, for one, is a
-matrix-vector product. So before the first epoch the coordinator probes the
-job's layer shapes and shards with `nn.batch_invariant`; where they are not
-invariant, it evaluates every epoch's model itself, and the workers' terms are
-only checked. Either way the rows are `nn.evaluate`'s, a run is deterministic,
-and the TCP and sim buses give the same bits.
+matrix-vector product. So once epoch 1's gradients are in, the coordinator
+probes the job's layer shapes and shards with `nn.batch_invariant`; where they
+are not invariant, it evaluates every epoch's model itself, and the workers'
+terms are only checked. Either way the rows are `nn.evaluate`'s, a run is
+deterministic, and the TCP and sim buses give the same bits.
 """
 
 from __future__ import annotations
@@ -140,10 +140,8 @@ class _Coordinator:
         self.parts = parts
         self.model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
         # Whether the workers' forward passes give every row the bits nn.evaluate gives it;
-        # if not, the coordinator evaluates each epoch's model itself.
-        self.rows_from_workers = nn.batch_invariant(
-            job.layer_sizes, len(job.dataset), [part.rows for part in parts]
-        )
+        # if not, the coordinator evaluates each epoch's model itself. Probed in epoch 1.
+        self.rows_from_workers = False
         self.epoch = 1
         self.pending: dict[int, tuple[int, np.ndarray, int]] = {}  # worker -> flat gradients
         self.picked = np.empty(len(job.dataset))  # p(true class) per dataset row, this epoch
@@ -224,7 +222,11 @@ class _Coordinator:
             return
         gathered = list(self.pending.values())
         self.pending.clear()
-        if self.rows_from_workers and self.epoch > 1:  # taken at the model of the epoch before
+        if self.epoch == 1:  # these terms describe the initial model, which has no row
+            self.rows_from_workers = nn.batch_invariant(
+                self.job.layer_sizes, len(self.job.dataset), [part.rows for part in self.parts]
+            )
+        elif self.rows_from_workers:  # taken at the model of the epoch before
             result = nn.EvalResult.from_terms(self.picked, self.correct)
             self.metrics.append(EpochMetrics(self.epoch - 1, result.mean_loss, result.accuracy))
         self.correct = 0
