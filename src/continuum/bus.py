@@ -150,12 +150,12 @@ class LinkLatency:
 class Bus(Protocol):
     """What the workloads use of a bus; SimBroker and tcp.TcpBus both provide it.
 
-    Handlers run only inside `drive(awaiting, timeout_ms)`, one at a time, in
-    arrival order (TCP: on a thread each call starts and joins), until
-    `awaiting()` is empty. A raising handler ends the call with its exception;
-    deliveries not yet made wait for the next. A stuck workload (sim: queue
-    drained; TCP: `timeout_ms` passed) raises a RuntimeError naming
-    `sorted(awaiting())`, and a lost TCP broker a ConnectionError at once.
+    Handlers run only inside `drive(awaiting, timeout_ms)`, on the thread that
+    calls it, one at a time, in arrival order, until `awaiting()` is empty. A
+    raising handler ends the call with its exception; deliveries not yet made
+    wait for the next. A stuck workload (sim: queue drained; TCP: `timeout_ms`
+    passed) raises a RuntimeError naming `sorted(awaiting())`, and a lost TCP
+    broker a ConnectionError at once.
     """
 
     published: list[Envelope]

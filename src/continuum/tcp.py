@@ -25,19 +25,21 @@ msg-id assignment, the route lookup and every write, so every connection
 receives frames in msg-id order. A PUB is acked after routing: `publish`
 returns once the frame is written to every matching connection. The broker
 holds no queue, so a connection that stops reading stalls routing instead of
-growing the broker's memory.
+growing the broker's memory, but only until its send deadline
+(_SEND_DEADLINE_S): a write that fails or passes it shuts that connection
+down, and its reader drops it.
 
 A TcpBus is one connection that carries every node of its process: one socket
-and one reader thread, plus one dispatch thread while `drive` runs. A node is
-only the sender of the PUB and SUB frames it makes, so any number of nodes hold
-one server connection. Handlers run only inside `drive`, one at a time, in
-arrival order, as on the simulated broker. A handler unsubscribed while a
-message is being dispatched does not receive it. A handler that raises ends
-that `drive` call with its exception; deliveries not yet made stay queued for
-the next call. Publishes are acknowledged, giving at-least-once delivery within
-the process lifetime; a call whose connection closes before its ack, and a
-`drive` on a connection that has ended, raise ConnectionError at once. No
-retained messages, no persistence.
+and one reader thread. A node is only the sender of the PUB and SUB frames it
+makes, so any number of nodes hold one server connection. Handlers run only
+inside `drive`, on the thread that calls it, one at a time, in arrival order,
+as on the simulated broker. A handler unsubscribed while a message is being
+dispatched does not receive it. A handler that raises ends that `drive` call
+with its exception; deliveries not yet made stay queued for the next call.
+Publishes are acknowledged, giving at-least-once delivery within the process
+lifetime; a call whose connection closes before its ack, and a `drive` on a
+connection that has ended, raise ConnectionError at once. No retained
+messages, no persistence.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ from .bus import (
 
 DEFAULT_PORT = 18883
 _ACK_TIMEOUT_S = 10.0
+# How long a broker write to one connection may block before that connection is
+# dropped; a healthy loopback write, even of a 16 MiB frame, takes far less.
+_SEND_DEADLINE_S = 5.0
 
 FRAME_VERSION = 2
 PUB, SUB, ACK = 1, 2, 3
@@ -166,6 +171,9 @@ class TcpBrokerServer:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            seconds, fraction = divmod(_SEND_DEADLINE_S, 1.0)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                            struct.pack("@ll", int(seconds), int(fraction * 1_000_000)))
             with self._lock:
                 conn_id = self._next_conn
                 self._next_conn += 1
@@ -200,11 +208,16 @@ class TcpBrokerServer:
         self._write(conn, Frame(ACK, msg_id))
 
     def _write(self, conn: socket.socket, frame: Frame) -> None:
-        """Send under the lock; a failed connection is dropped by its own reader."""
+        """Send under the lock. A write that fails or passes the send deadline may have
+        left part of a frame on the stream, so it shuts the connection down, and the
+        connection's own reader drops it."""
         try:
             _send_frame(conn, self._lock, frame)
         except OSError:
-            pass
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def close(self) -> None:
         try:
@@ -314,27 +327,11 @@ class TcpBus:
     def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
         """Run handlers, one at a time in arrival order, until `awaiting()` is empty.
 
-        Handlers run only here, on a thread this call starts and joins. A handler's
-        exception ends the call, with a cause naming the node and the topic; deliveries
-        not yet made wait for the next call. A lost connection raises ConnectionError at
-        once, and the timeout a RuntimeError naming what the workload still awaits.
+        Handlers run only here, on the thread that calls it. A handler's exception ends
+        the call, with a cause naming the node and the topic; deliveries not yet made
+        wait for the next call. A lost connection raises ConnectionError at once, and
+        the timeout a RuntimeError naming what the workload still awaits.
         """
-        failure: list[BaseException] = []
-
-        def run() -> None:
-            try:
-                self._dispatch(awaiting, timeout_ms)
-            except BaseException as exc:  # re-raised below, on the caller's thread
-                failure.append(exc)
-
-        # off the main thread, numpy temporaries skip glibc's main arena, which trims and re-faults them
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join()
-        if failure:
-            raise failure.pop()
-
-    def _dispatch(self, awaiting: Awaiting, timeout_ms: float) -> None:
         deadline = time.monotonic() + timeout_ms / 1000.0
         while missing := awaiting():
             try:  # the deadline is checked apart from the wait, which a busy queue never ends

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from continuum import tcp
 from continuum.bus import MAX_FRAME_BYTES, SimBroker
 from continuum.tcp import ACK, PUB, SUB, Frame, TcpBrokerServer, TcpBus, _recv_frame, _send_frame
 
@@ -207,6 +208,14 @@ def test_handlers_of_different_nodes_never_overlap(backend):
     assert peak[0] == 1
 
 
+def test_handlers_run_on_the_thread_that_calls_drive(backend):
+    threads = []
+    backend.bus.subscribe("fog:a", "conf/t", lambda env: threads.append(threading.get_ident()))
+    backend.bus.publish("edge:s", "conf/t", b"x")
+    backend.settle(lambda: len(threads) == 1)
+    assert threads == [threading.get_ident()]
+
+
 def test_stall_names_what_the_workload_still_awaits(backend):
     with pytest.raises(RuntimeError, match=r"still awaiting \['cloud:never'\]$"):
         backend.bus.drive(lambda: ["cloud:never"], timeout_ms=300)
@@ -379,6 +388,36 @@ def test_tcp_server_close_ends_routing_blocked_on_a_subscriber_that_stopped_read
         publisher.join(timeout=5.0)
         assert not publisher.is_alive()
         assert [type(exc) for exc in errors] == [ConnectionError]
+    finally:
+        stalled.close()
+        bus.close()
+        server.close()
+
+
+def test_tcp_publish_returns_while_another_subscriber_has_stopped_reading(monkeypatch):
+    monkeypatch.setattr(tcp, "_SEND_DEADLINE_S", 0.5)
+    server = TcpBrokerServer(port=0)
+    bus = TcpBus(port=server.port)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # small, so writes block
+    stalled.settimeout(5.0)
+    try:
+        stalled.connect((server.host, server.port))
+        _send_frame(stalled, threading.Lock(), Frame(SUB, 0, "flood/#", "cloud:stalled"))
+        assert _recv_frame(stalled).kind == ACK  # nothing is read from here on
+        got = []
+        bus.subscribe("fog:a", "flood/#", got.append)
+        start = time.monotonic()
+        for _ in range(8):  # far more than the socket buffers hold
+            bus.publish("edge:s", "flood/x", bytes(4 << 20))
+        assert time.monotonic() - start < 3.0
+        # routing to the healthy subscriber went on, and the stalled connection was dropped
+        bus.drive(lambda: [] if len(got) == 8 else ["fog:a"], timeout_ms=5_000.0)
+        try:
+            while stalled.recv(1 << 16):
+                pass
+        except ConnectionResetError:
+            pass
     finally:
         stalled.close()
         bus.close()

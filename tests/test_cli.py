@@ -1,8 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import continuum
 from continuum.cli import main
 
 BUNDLED = Path(__file__).resolve().parent.parent / "configs"
@@ -358,3 +363,36 @@ def test_csv_headers_and_float_format(tmp_path):
     value = text.splitlines()[1].split(",")[2]
     assert float(value) > 0  # parses back
     assert "." in value
+
+
+# Runs cli.main in a fresh interpreter, so that no earlier test has shaped the
+# allocator, and prints the minor page faults the call took.
+_FAULTS_SCRIPT = """
+import resource, sys
+from continuum.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+@pytest.mark.parametrize("bus", [[], ["--bus", "tcp", "--bus-port", "0"]], ids=["sim", "tcp"])
+def test_dist_train_takes_few_page_faults_per_epoch(tmp_path, bus):
+    # the train-tcp shape: 256x64 -> 256 -> 8, where each epoch frees and reallocates
+    # temporaries of 512 KiB (256x256 f64) and ~146 KiB (the parameter vector)
+    env = dict(os.environ, PYTHONPATH=str(Path(continuum.__file__).parent.parent))
+    faults = {}
+    for epochs in (50, 100):
+        config = write_config(tmp_path / f"{epochs}.json", {
+            "layers": [64, 256, 8], "activation": "sigmoid", "lr": 0.5, "epochs": epochs,
+            "workers": 1, "seed": 7,
+            "dataset": {"synth": {"n": 256, "d": 64, "classes": 8, "separation": 4.0, "seed": 7}},
+        })
+        done = subprocess.run(
+            [sys.executable, "-c", _FAULTS_SCRIPT, "dist-train", str(config),
+             "--out", str(tmp_path / str(epochs)), *bus],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        code, faults[epochs] = map(int, done.stdout.split()[-2:])
+        assert code == 0, done.stderr
+    assert (faults[100] - faults[50]) / 50 < 200, faults
