@@ -35,7 +35,8 @@ class Dataset:
             raise ValueError("features must be a non-empty 2-D array")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must have one entry per sample")
-        if not np.isfinite(self.features).all():
+        # NaN and +-inf reach the min or the max, so no n x d bool array is needed
+        if not (np.isfinite(self.features.min()) and np.isfinite(self.features.max())):
             raise ValueError("features must be finite")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")

@@ -1,19 +1,22 @@
 """Dense feedforward classifier: softmax output, mean cross-entropy, exact backprop.
 
 Everything here is a pure function of its inputs; models are immutable and
-updates return new models. All math is float64. Each layer allocates one
-array, its matmul output, and adds the bias and applies the activation or the
-softmax in place on it; backprop likewise overwrites only arrays it allocated.
-Nothing here writes to the caller's features or labels, or to a model or
-gradient array, so models and gradients rebuilt from a flat vector are views
-into it, which may be read-only. The flat parameter layout (layer 0 weights
-row-major, layer 0 biases, layer 1 weights, ...) is a frozen wire format:
-reordering it breaks every serialized model in flight.
+updates return new models. All math is float64. Every model and every gradient
+holds one flat vector in the frozen wire order (layer 0 weights row-major,
+layer 0 biases, layer 1 weights, ...), and its per-layer weights and biases
+are views into it: serializing returns the vector, an SGD step is one vector
+expression, and reordering the layout breaks every serialized model in flight.
+Each layer allocates one array, its matmul output, and adds the bias and
+applies the activation or the softmax in place on it; backprop likewise
+overwrites only arrays it allocated, and `gradient` writes each layer's
+gradient through the views of a vector it allocated. Nothing here writes to
+the caller's features or labels, or to a vector it did not allocate, so a
+model or gradient may sit on a read-only vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,8 +76,13 @@ class MlpModel:
 
     layer_sizes: tuple[int, ...]
     hidden_activation: str
-    weights: tuple[np.ndarray, ...]  # layer l: (layer_sizes[l], layer_sizes[l+1])
-    biases: tuple[np.ndarray, ...]  # layer l: (layer_sizes[l+1],)
+    vector: np.ndarray  # every parameter, in the wire order
+    # views into vector, set by _unflatten; layer l: (layer_sizes[l], layer_sizes[l+1])
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)  # layer l: (layer_sizes[l+1],)
+
+    def __post_init__(self) -> None:
+        _unflatten(self)
 
     @property
     def num_classes(self) -> int:
@@ -82,22 +90,27 @@ class MlpModel:
 
     @property
     def param_count(self) -> int:
-        return param_count(self.layer_sizes)
+        return self.vector.shape[0]
 
 
 @dataclass(frozen=True)
 class Gradients:
-    """Per-layer gradients shaped exactly like the model, plus the batch size.
+    """A flat vector and per-layer views laid out exactly like the model's, plus the batch size.
 
     `gradient` also keeps its forward pass's class probabilities in `probs`, so
     `eval_terms` can score the model the gradient was taken at without a second
     forward pass; gradients rebuilt from the wire or summed have none.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    layer_sizes: tuple[int, ...]
+    vector: np.ndarray
     sample_count: int
     probs: np.ndarray | None = None
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _unflatten(self)
 
 
 def param_count(layer_sizes: tuple[int, ...] | list[int]) -> int:
@@ -120,13 +133,11 @@ def init_model(
     if hidden_activation not in HIDDEN_ACTIVATIONS:
         raise ValueError(f"unknown activation {hidden_activation!r}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, hidden_activation, tuple(weights), tuple(biases))
+    model = MlpModel(sizes, hidden_activation, np.zeros(param_count(sizes)))
+    for w in model.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def check_output_layer(layer_sizes: tuple[int, ...], num_classes: int) -> None:
@@ -231,39 +242,28 @@ def gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> Gradi
     delta = probs / n
     rows = np.arange(n)
     delta[rows, labels] = (probs[rows, labels] - 1.0) / n
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
+    grads = Gradients(model.layer_sizes, np.empty(model.param_count), n, probs)
     for l in range(len(model.weights) - 1, -1, -1):
-        grad_w[l] = acts[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads.weights[l])
+        np.add.reduce(delta, axis=0, out=grads.biases[l])  # what delta.sum(axis=0) runs
         if l > 0:
             delta = delta @ model.weights[l].T
             delta *= _activate_grad_in_place(model.hidden_activation, acts[l])
-    return Gradients(tuple(grad_w), tuple(grad_b), n, probs)
-
-
-def _check_shapes(model: MlpModel, grads: Gradients) -> None:
-    for w, gw in zip(model.weights, grads.weights):
-        if w.shape != gw.shape:
-            raise ValueError(f"gradient shape {gw.shape} does not match weights {w.shape}")
-    for b, gb in zip(model.biases, grads.biases):
-        if b.shape != gb.shape:
-            raise ValueError(f"gradient shape {gb.shape} does not match biases {b.shape}")
-    if len(model.weights) != len(grads.weights) or len(model.biases) != len(grads.biases):
-        raise ValueError("gradient layer count does not match the model")
+    return grads
 
 
 def sgd_step(model: MlpModel, grads: Gradients, learning_rate: float) -> MlpModel:
     """params - lr * grads as a new model; lr = 0 is the identity, negative lr rejected."""
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
-    _check_shapes(model, grads)
-    weights = tuple(w - learning_rate * g for w, g in zip(model.weights, grads.weights))
-    biases = tuple(b - learning_rate * g for b, g in zip(model.biases, grads.biases))
-    for arr in weights + biases:
-        if not np.isfinite(arr).all():
-            raise ValueError("sgd_step produced non-finite parameters")
-    return MlpModel(model.layer_sizes, model.hidden_activation, weights, biases)
+    if grads.layer_sizes != model.layer_sizes:  # equal sizes imply equal vector lengths
+        raise ValueError(
+            f"gradient layers {grads.layer_sizes} do not match the model's {model.layer_sizes}"
+        )
+    vector = model.vector - learning_rate * grads.vector
+    if not np.isfinite(vector).all():
+        raise ValueError("sgd_step produced non-finite parameters")
+    return MlpModel(model.layer_sizes, model.hidden_activation, vector)
 
 
 def weighted_mean(contributions: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
@@ -316,37 +316,29 @@ def evaluate(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> EvalR
     return EvalResult.from_terms(*eval_terms(forward(model, features), labels))
 
 
-def _flatten(weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The canonical flat order: W0 row-major, b0, W1, b1, ..."""
-    parts = []
-    for w, b in zip(weights, biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
-def _unflatten(
-    sizes: tuple[int, ...], vector: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) as views into a canonical flat vector; inverse of _flatten."""
-    vec = np.asarray(vector, dtype=np.float64)
-    expected = param_count(sizes)
+def _unflatten(holder: MlpModel | Gradients) -> None:
+    """Check a model's or gradient's flat vector against its layer sizes, hold it as float64
+    and set its per-layer weights and biases as views into it."""
+    vec = np.asarray(holder.vector, dtype=np.float64)
+    expected = param_count(holder.layer_sizes)
     if vec.ndim != 1 or vec.shape[0] != expected:
         raise ValueError(f"parameter vector has length {vec.size}; expected {expected}")
     weights = []
     biases = []
     offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in zip(holder.layer_sizes[:-1], holder.layer_sizes[1:]):
         weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
         offset += fan_in * fan_out
         biases.append(vec[offset : offset + fan_out])
         offset += fan_out
-    return tuple(weights), tuple(biases)
+    object.__setattr__(holder, "vector", vec)
+    object.__setattr__(holder, "weights", tuple(weights))
+    object.__setattr__(holder, "biases", tuple(biases))
 
 
 def serialize_params(model: MlpModel) -> np.ndarray:
-    """Flatten to the canonical order: W0 row-major, b0, W1, b1, ..."""
-    return _flatten(model.weights, model.biases)
+    """The model's own flat vector, not a copy: W0 row-major, b0, W1, b1, ..."""
+    return model.vector
 
 
 def deserialize_params(
@@ -356,15 +348,15 @@ def deserialize_params(
 ) -> MlpModel:
     """Rebuild a model from a canonical flat vector; exact inverse of serialize_params.
 
-    The model's arrays are views into `vector`, which must not change while the model is used.
+    The model holds `vector` itself (a float64 copy only if it is of another dtype), which
+    must not change while the model is used.
     """
-    sizes = tuple(int(s) for s in layer_sizes)
-    return MlpModel(sizes, hidden_activation, *_unflatten(sizes, vector))
+    return MlpModel(tuple(int(s) for s in layer_sizes), hidden_activation, vector)
 
 
 def serialize_gradients(grads: Gradients) -> np.ndarray:
-    """Gradients flattened in the same canonical order as serialize_params."""
-    return _flatten(grads.weights, grads.biases)
+    """The gradients' own flat vector, not a copy, in the same order as serialize_params."""
+    return grads.vector
 
 
 def deserialize_gradients(
@@ -374,9 +366,8 @@ def deserialize_gradients(
 ) -> Gradients:
     """Rebuild gradients from a canonical flat vector; exact inverse of serialize_gradients.
 
-    The gradient arrays are views into `vector`, as deserialize_params' are.
+    The gradients hold `vector` itself, as deserialize_params' model does.
     """
-    weights, biases = _unflatten(tuple(int(s) for s in layer_sizes), vector)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    return Gradients(weights, biases, int(sample_count))
+    return Gradients(tuple(int(s) for s in layer_sizes), vector, int(sample_count))

@@ -6,22 +6,23 @@ the mean gradient over a partition equals the full-dataset gradient, a run
 with any worker count reproduces single-process full-batch gradient descent,
 which is what the tests check against.
 
-Each gradient message also carries the loss and accuracy terms of the forward
-pass the worker ran for it: p(true class) for every shard row, in shard order,
-and the count of rows classified correctly. Epoch e+1's gradients are taken at
-the model epoch e produced, so once they are all in, the coordinator scatters
-their terms into dataset order and records epoch e's metrics from them. It
-evaluates only the final model itself. The terms epoch 1 brings describe the
-initial model, which has no row.
+Each gradient message can also carry the loss and accuracy terms of the
+forward pass the worker ran for it: p(true class) for every shard row, in shard
+order, and the count of rows classified correctly. Epoch e+1's gradients are
+taken at the model epoch e produced, so once they are all in, the coordinator
+scatters their terms into dataset order and records epoch e's metrics from
+them. It evaluates only the final model itself. The terms epoch 1 brings
+describe the initial model, which has no row.
 
 Those rows equal `nn.evaluate` on the full dataset bit for bit only if the BLAS
 computes each shard's rows as it computes them in the full batch, which depends
 on the kernel it picks for each shape: a one-row shard, for one, is a
-matrix-vector product. So once epoch 1's gradients are in, the coordinator
-probes the job's layer shapes and shards with `nn.batch_invariant`; where they
-are not invariant, it evaluates every epoch's model itself, and the workers'
-terms are only checked. Either way the rows are `nn.evaluate`'s, a run is
-deterministic, and the TCP and sim buses give the same bits.
+matrix-vector product. So the coordinator probes the job's layer shapes and
+shards with `nn.batch_invariant` when it is built, and the first assignment's
+`terms` flag tells each worker whether to send terms at all; where the shapes
+are not invariant, none are sent and the coordinator evaluates every epoch's
+model itself. Either way the rows are `nn.evaluate`'s, a run is deterministic,
+and the TCP and sim buses give the same bits.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class _Worker:
         self.job = job
         self.broker = broker
         self.shard: Dataset | None = None
+        self.terms = False  # whether gradients carry their loss and accuracy terms
         self.node = WORKER_NODE.format(worker=worker_id)
         broker.subscribe(self.node, ASSIGN_TOPIC.format(worker=worker_id), self.on_message)
 
@@ -111,26 +113,22 @@ class _Worker:
             feats = wire.decode_f64(msg["shard_features"]).reshape(msg["shard_shape"])
             labels = wire.decode_i64(msg["shard_labels"])
             self.shard = Dataset(feats, labels, msg["num_classes"], name=f"shard{self.worker_id}")
+            self.terms = msg["terms"]
         if self.shard is None:
             raise RuntimeError(f"worker {self.worker_id} received params before its shard")
         params = wire.decode_f64(msg["params"])
         model = nn.deserialize_params(self.job.layer_sizes, self.job.hidden_activation, params)
         grads = worker_epoch(self.shard, model)
-        picked, correct = nn.eval_terms(grads.probs, self.shard.labels)
-        self.broker.publish(
-            self.node,
-            GRADS_TOPIC,
-            wire.pack(
-                {
-                    "worker_id": self.worker_id,
-                    "epoch": msg["epoch"],
-                    "grads": wire.encode_f64(nn.serialize_gradients(grads)),
-                    "sample_count": grads.sample_count,
-                    "picked": wire.encode_f64(picked),
-                    "correct": correct,
-                }
-            ),
-        )
+        reply = {
+            "worker_id": self.worker_id,
+            "epoch": msg["epoch"],
+            "grads": wire.encode_f64(nn.serialize_gradients(grads)),
+            "sample_count": grads.sample_count,
+        }
+        if self.terms:
+            picked, reply["correct"] = nn.eval_terms(grads.probs, self.shard.labels)
+            reply["picked"] = wire.encode_f64(picked)
+        self.broker.publish(self.node, GRADS_TOPIC, wire.pack(reply))
 
 
 class _Coordinator:
@@ -140,8 +138,10 @@ class _Coordinator:
         self.parts = parts
         self.model = nn.init_model(job.layer_sizes, job.hidden_activation, job.seed)
         # Whether the workers' forward passes give every row the bits nn.evaluate gives it;
-        # if not, the coordinator evaluates each epoch's model itself. Probed in epoch 1.
-        self.rows_from_workers = False
+        # if not, they send no terms and the coordinator evaluates each epoch's model itself.
+        self.rows_from_workers = nn.batch_invariant(
+            job.layer_sizes, len(job.dataset), [part.rows for part in parts]
+        )
         self.epoch = 1
         self.pending: dict[int, tuple[int, np.ndarray, int]] = {}  # worker -> flat gradients
         self.picked = np.empty(len(job.dataset))  # p(true class) per dataset row, this epoch
@@ -161,6 +161,7 @@ class _Coordinator:
                     shard_shape=list(shard.features.shape),
                     shard_labels=wire.encode_i64(shard.labels),
                     num_classes=shard.num_classes,
+                    terms=self.rows_from_workers,
                 )
             self.broker.publish(
                 COORDINATOR_NODE,
@@ -198,35 +199,32 @@ class _Coordinator:
             raise RuntimeError(
                 f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
             )
-        picked, correct = wire.decode_f64(msg["picked"]), msg["correct"]
-        rows = self.parts[worker_id].rows
-        if picked.shape[0] != rows.shape[0]:
-            raise RuntimeError(
-                f"{env.sender}: gradient of worker {worker_id} has {picked.shape[0]} picked "
-                f"probabilities for a shard of {rows.shape[0]} rows"
-            )
-        if not ((picked >= 0.0) & (picked <= 1.0)).all():  # NaN fails both
-            raise RuntimeError(
-                f"{env.sender}: gradient of worker {worker_id} has a picked probability "
-                f"outside [0, 1]"
-            )
-        if type(correct) is not int or not 0 <= correct <= rows.shape[0]:
-            raise RuntimeError(
-                f"{env.sender}: gradient of worker {worker_id} has correct {correct!r}, "
-                f"not an int in [0, {rows.shape[0]}]"
-            )
+        if self.rows_from_workers:  # the workers were told to send their terms
+            picked, correct = wire.decode_f64(msg["picked"]), msg["correct"]
+            rows = self.parts[worker_id].rows
+            if picked.shape[0] != rows.shape[0]:
+                raise RuntimeError(
+                    f"{env.sender}: gradient of worker {worker_id} has {picked.shape[0]} picked "
+                    f"probabilities for a shard of {rows.shape[0]} rows"
+                )
+            if not ((picked >= 0.0) & (picked <= 1.0)).all():  # NaN fails both
+                raise RuntimeError(
+                    f"{env.sender}: gradient of worker {worker_id} has a picked probability "
+                    f"outside [0, 1]"
+                )
+            if type(correct) is not int or not 0 <= correct <= rows.shape[0]:
+                raise RuntimeError(
+                    f"{env.sender}: gradient of worker {worker_id} has correct {correct!r}, "
+                    f"not an int in [0, {rows.shape[0]}]"
+                )
+            self.picked[rows] = picked
+            self.correct += correct
         self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), sample_count)
-        self.picked[rows] = picked
-        self.correct += correct
         if len(self.pending) < self.job.num_workers:
             return
         gathered = list(self.pending.values())
         self.pending.clear()
-        if self.epoch == 1:  # these terms describe the initial model, which has no row
-            self.rows_from_workers = nn.batch_invariant(
-                self.job.layer_sizes, len(self.job.dataset), [part.rows for part in self.parts]
-            )
-        elif self.rows_from_workers:  # taken at the model of the epoch before
+        if self.rows_from_workers and self.epoch > 1:  # taken at the model of the epoch before
             result = nn.EvalResult.from_terms(self.picked, self.correct)
             self.metrics.append(EpochMetrics(self.epoch - 1, result.mean_loss, result.accuracy))
         self.correct = 0

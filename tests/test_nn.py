@@ -158,7 +158,7 @@ def test_gradient_is_deterministic():
 
 def test_sgd_step_arithmetic():
     model = nn.deserialize_params([1, 1], "sigmoid", np.array([1.0, 0.0]))
-    grads = nn.Gradients((np.array([[2.0]]),), (np.array([0.0]),), 1)
+    grads = nn.deserialize_gradients([1, 1], np.array([2.0, 0.0]), 1)
     stepped = nn.sgd_step(model, grads, 0.1)
     assert stepped.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
     assert model.weights[0][0, 0] == 1.0  # input model untouched
@@ -166,11 +166,7 @@ def test_sgd_step_arithmetic():
 
 def test_sgd_step_identity_cases():
     model = nn.init_model([3, 2], "sigmoid", seed=1)
-    zero = nn.Gradients(
-        tuple(np.zeros_like(w) for w in model.weights),
-        tuple(np.zeros_like(b) for b in model.biases),
-        1,
-    )
+    zero = nn.deserialize_gradients(model.layer_sizes, np.zeros(model.param_count), 1)
     same = nn.sgd_step(model, zero, 0.5)
     assert np.array_equal(nn.serialize_params(same), nn.serialize_params(model))
     batch = random_batch(np.random.default_rng(0), 3, 2)
@@ -188,6 +184,11 @@ def test_sgd_step_shape_mismatch():
     )
     with pytest.raises(ValueError):
         nn.sgd_step(model, other, 0.1)
+    # 17 parameters each, so a check of the vector length alone would pass them
+    model = nn.init_model((2, 3, 2), "sigmoid", seed=1)
+    grads = nn.deserialize_gradients((3, 2, 3), np.zeros(17), 1)
+    with pytest.raises(ValueError, match=r"gradient layers \(3, 2, 3\) do not match"):
+        nn.sgd_step(model, grads, 0.1)
 
 
 def test_evaluate_tie_breaks_to_lowest_class():
@@ -245,8 +246,10 @@ def test_serialization_canonical_order():
     b0 = np.array([5.0, 6.0])
     w1 = np.array([[7.0], [8.0]])
     b1 = np.array([9.0])
-    model = nn.MlpModel((2, 2, 1), "sigmoid", (w0, w1), (b0, b1))
     expected = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    model = nn.deserialize_params((2, 2, 1), "sigmoid", expected.copy())
+    for layer, want in zip(model.weights + model.biases, (w0, w1, b0, b1)):
+        assert np.array_equal(layer, want)
     assert np.array_equal(nn.serialize_params(model), expected)
 
 
@@ -256,34 +259,54 @@ def test_deserialize_rejects_wrong_length():
     nn.deserialize_params([512, 32, 8], "sigmoid", np.zeros(16680))
 
 
-def test_deserialized_arrays_are_views_into_their_vector():
+def test_every_layer_is_a_view_into_its_vector():
     sizes = (7, 5, 4, 3)
-    vec = nn.serialize_params(nn.init_model(sizes, "tanh", seed=13))
-    model = nn.deserialize_params(sizes, "tanh", vec)
-    grads = nn.deserialize_gradients(sizes, vec, 3)
-    for arr in model.weights + model.biases + grads.weights + grads.biases:
-        assert np.shares_memory(arr, vec)
+    rng = np.random.default_rng(13)
+    initial = nn.init_model(sizes, "tanh", seed=13)
+    vec = nn.serialize_params(initial).copy()
+    rebuilt = nn.deserialize_params(sizes, "tanh", vec)
+    assert nn.serialize_params(rebuilt) is vec
+    grads = nn.gradient(initial, rng.normal(size=(9, 7)), rng.integers(0, 3, size=9))
+    for model in (initial, rebuilt, nn.sgd_step(initial, grads, 0.1)):
+        flat = nn.serialize_params(model)
+        assert all(np.shares_memory(arr, flat) for arr in model.weights + model.biases)
+    for g in (grads, nn.deserialize_gradients(sizes, vec, 3)):
+        flat = nn.serialize_gradients(g)
+        assert all(np.shares_memory(arr, flat) for arr in g.weights + g.biases)
 
 
+def built_by(source: str, sizes, activation: str, rng, features, labels) -> nn.MlpModel:
+    """A model on a writable vector of its own, as `source` builds one."""
+    if source == "init_model":
+        return nn.init_model(sizes, activation, seed=5)
+    model = nn.deserialize_params(
+        sizes, activation, rng.normal(scale=0.3, size=nn.param_count(sizes))
+    )
+    if source == "sgd_step":
+        return nn.sgd_step(model, nn.gradient(model, features, labels), 0.1)
+    return model
+
+
+@pytest.mark.parametrize("source", ["deserialize_params", "init_model", "sgd_step"])
 @pytest.mark.parametrize("activation", nn.HIDDEN_ACTIVATIONS)
 @pytest.mark.parametrize("sizes", [(7, 6, 5, 4), (512, 32, 8)])
-def test_models_on_a_read_only_vector_match_models_on_copies(sizes, activation):
+def test_models_on_a_read_only_vector_match_models_on_copies(sizes, activation, source):
     rng = np.random.default_rng(5)
-    vec = rng.normal(scale=0.3, size=nn.param_count(sizes))
-    vec.flags.writeable = False
-    viewed = nn.deserialize_params(sizes, activation, vec)
-    copied = nn.MlpModel(sizes, activation, tuple(w.copy() for w in viewed.weights),
-                         tuple(b.copy() for b in viewed.biases))
     features = rng.normal(size=(60, sizes[0]))
     labels = rng.integers(0, sizes[-1], size=60)
+    copied = built_by(source, sizes, activation, rng, features, labels)
+    vec = nn.serialize_params(copied).copy()
+    vec.flags.writeable = False
+    viewed = nn.deserialize_params(sizes, activation, vec)
     assert nn.forward(viewed, features).tobytes() == nn.forward(copied, features).tobytes()
     assert nn.evaluate(viewed, features, labels) == nn.evaluate(copied, features, labels)
+    computed = nn.gradient(copied, features, labels)  # on the vector gradient allocated
     flat = nn.serialize_gradients(nn.gradient(viewed, features, labels))
-    assert flat.tobytes() == nn.serialize_gradients(nn.gradient(copied, features, labels)).tobytes()
+    assert flat.tobytes() == nn.serialize_gradients(computed).tobytes()
     flat.flags.writeable = False
     grads = nn.deserialize_gradients(sizes, flat, 60)
     stepped = nn.serialize_params(nn.sgd_step(viewed, grads, 0.1))
-    assert stepped.tobytes() == nn.serialize_params(nn.sgd_step(copied, grads, 0.1)).tobytes()
+    assert stepped.tobytes() == nn.serialize_params(nn.sgd_step(copied, computed, 0.1)).tobytes()
 
 
 def test_weighted_mean_accumulates_in_ascending_id_order():
@@ -345,6 +368,11 @@ def oracle_trace(model: nn.MlpModel, features: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def oracle_flat(weights, biases) -> np.ndarray:
+    """Per-layer arrays concatenated in the canonical order: W0 row-major, b0, W1, b1, ..."""
+    return np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)])
+
+
 def oracle_gradient(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Backprop with a fresh array per step, flattened in the canonical order."""
     activate_grad = {
@@ -357,12 +385,13 @@ def oracle_gradient(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    parts = []
+    grad_w, grad_b = [], []
     for l in range(len(model.weights) - 1, -1, -1):
-        parts[:0] = [(acts[l].T @ delta).ravel(), delta.sum(axis=0)]
+        grad_w.insert(0, acts[l].T @ delta)
+        grad_b.insert(0, delta.sum(axis=0))
         if l > 0:
             delta = (delta @ model.weights[l].T) * activate_grad(acts[l])
-    return np.concatenate(parts)
+    return oracle_flat(grad_w, grad_b)
 
 
 def snapshot(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> list[bytes]:
@@ -375,17 +404,32 @@ def snapshot(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> li
     rows=st.integers(1, 256),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([0.1, 1.0, 40.0]),
+    source=st.sampled_from(["deserialize_params", "init_model", "sgd_step"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_in_place_layers_are_bitwise_the_out_of_place_formulas(
-    activation, layers, rows, seed, scale
+    activation, layers, rows, seed, scale, source
 ):
     rng = np.random.default_rng(seed)
-    model = nn.deserialize_params(
-        layers, activation, rng.normal(scale=scale, size=nn.param_count(layers))
-    )
     features = rng.normal(scale=scale, size=(rows, layers[0]))
     labels = rng.integers(0, layers[-1], size=rows)
+    if source == "init_model":
+        model = nn.init_model(layers, activation, seed)
+        limits = [np.sqrt(6.0 / (i + o)) for i, o in zip(layers, layers[1:])]
+        draws = np.random.default_rng(seed)  # the draws init_model made before the flat vector
+        glorot = [draws.uniform(-x, x, size=w.shape) for x, w in zip(limits, model.weights)]
+        assert nn.serialize_params(model).tobytes() == oracle_flat(
+            glorot, [np.zeros(o) for o in layers[1:]]).tobytes()
+    else:
+        model = nn.deserialize_params(
+            layers, activation, rng.normal(scale=scale, size=nn.param_count(layers))
+        )
+    if source == "sgd_step":
+        base = model
+        model = nn.sgd_step(base, nn.gradient(base, features, labels), 0.5)
+        expected = oracle_flat(base.weights, base.biases) - 0.5 * oracle_gradient(
+            base, features, labels)
+        assert nn.serialize_params(model).tobytes() == expected.tobytes()
     before = snapshot(model, features, labels)
     probs = oracle_trace(model, features)[-1]
 

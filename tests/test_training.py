@@ -81,8 +81,8 @@ def test_aggregate_cancellation():
     model = nn.init_model((4, 3), "sigmoid", seed=2)
     features = np.random.default_rng(0).normal(size=(8, 4))
     grads = nn.gradient(model, features, np.zeros(8, dtype=np.int64))
-    negated = nn.Gradients(
-        tuple(-w for w in grads.weights), tuple(-b for b in grads.biases), grads.sample_count
+    negated = nn.deserialize_gradients(
+        model.layer_sizes, -nn.serialize_gradients(grads), grads.sample_count
     )
     stepped = training.aggregate_and_step(model, [flat(0, grads), flat(1, negated)], 0.5)
     assert np.allclose(
@@ -92,8 +92,8 @@ def test_aggregate_cancellation():
 
 def test_aggregate_weighted_mean_scalar():
     model = nn.deserialize_params([1, 1], "sigmoid", np.array([1.0, 0.0]))
-    g1 = nn.Gradients((np.array([[1.0]]),), (np.array([0.0]),), 100)
-    g2 = nn.Gradients((np.array([[2.0]]),), (np.array([0.0]),), 300)
+    g1 = nn.deserialize_gradients([1, 1], np.array([1.0, 0.0]), 100)
+    g2 = nn.deserialize_gradients([1, 1], np.array([2.0, 0.0]), 300)
     stepped = training.aggregate_and_step(model, [flat(0, g1), flat(1, g2)], 1.0)
     assert stepped.weights[0][0, 0] == pytest.approx(1.0 - 1.75, abs=1e-15)
 
@@ -246,8 +246,9 @@ def test_stall_names_the_workers_that_did_not_report():
          "correct-not-int"],
 )
 def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
-    sender, worker_id, sample_count, copies, picked, correct, cause
+    monkeypatch, sender, worker_id, sample_count, copies, picked, correct, cause
 ):
+    monkeypatch.setattr(nn, "batch_invariant", lambda *args: True)  # so terms are read
     job = make_job(2, epochs=2)  # 120 samples: each worker's shard has 60 rows
     size = len(nn.serialize_params(nn.init_model(job.layer_sizes, job.hidden_activation, 0)))
     stray = wire.pack({"worker_id": worker_id, "epoch": 1, "sample_count": sample_count,
@@ -333,3 +334,20 @@ def test_the_coordinator_evaluates_only_the_final_model_where_batch_invariant(
     assert sorted(np.concatenate(groups).tolist()) == list(range(len(job.dataset)))
     assert len(calls) == evaluations and calls[-1] is result.final_model
     assert [m.epoch for m in result.epochs] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("invariant", [True, False])
+def test_workers_send_terms_only_where_the_probe_finds_the_job_batch_invariant(
+    monkeypatch, invariant
+):
+    monkeypatch.setattr(nn, "batch_invariant", lambda *args: invariant)
+    job = make_job(3, epochs=4)
+    result, broker = run_job(job)
+    first = [wire.unpack(e.payload) for e in broker.published if "/worker/" in e.topic][:3]
+    assert [msg["terms"] for msg in first] == [invariant] * 3
+    gradients = [wire.unpack(e.payload) for e in broker.published
+                 if e.topic == training.GRADS_TOPIC]
+    assert len(gradients) == 12
+    for msg in gradients:
+        assert ("picked" in msg, "correct" in msg) == (invariant, invariant)
+    assert [m.epoch for m in result.epochs] == [1, 2, 3, 4]
