@@ -107,7 +107,11 @@ class _BusContext:
             self.bus = SimBroker()
         else:
             self.server = TcpBrokerServer(port=port)
-            self.bus = self._tcp_bus = TcpBus(port=self.server.port)
+            try:
+                self.bus = self._tcp_bus = TcpBus(port=self.server.port)
+            except BaseException:  # no caller holds this context to close it
+                self.server.close()
+                raise
 
     def close(self) -> None:
         if self.server is not None:
@@ -248,10 +252,13 @@ def _utc_now() -> str:
 def _run_experiment(kind: str, args) -> int:
     config_path = Path(args.config)
     try:
-        doc = json.loads(config_path.read_text())
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
         exp = _parse_experiment(kind, doc, args.seed, config_path.parent)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"config error: {config_path}: not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"config error: {config_path}: invalid JSON at line {exc.lineno}, "
@@ -296,17 +303,34 @@ def _first_difference(a: bytes, b: bytes) -> int:
     return limit
 
 
+def _manifest_problem(manifest) -> str | None:
+    """What keeps a parsed manifest from being replayed, or None."""
+    if not isinstance(manifest, dict):
+        return "manifest is not a JSON object"
+    kind = manifest.get("kind")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        return f"manifest has unknown kind {kind!r}"
+    if "config" not in manifest:
+        return "manifest has no config"
+    outputs = manifest.get("outputs", [])
+    if not (isinstance(outputs, list)
+            and all(isinstance(e, dict) and isinstance(e.get("path"), str) for e in outputs)):
+        return "manifest outputs are not a list of entries that each have a path"
+    return None
+
+
 def _replay_check(args) -> int:
     manifest_path = Path(args.manifest)
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or not UTF-8
         print(f"runtime error: cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    kind = manifest.get("kind")
-    if kind not in _KINDS:
-        print(f"runtime error: manifest has unknown kind {kind!r}", file=sys.stderr)
+    problem = _manifest_problem(manifest)
+    if problem is not None:
+        print(f"runtime error: {manifest_path}: {problem}", file=sys.stderr)
         return EXIT_RUNTIME
+    kind = manifest["kind"]
     out_dir = manifest_path.parent
     originals = {}
     for entry in manifest.get("outputs", []):

@@ -164,29 +164,16 @@ def split_train_test(dataset: Dataset) -> tuple[Dataset, Dataset]:
 
 
 def _update_payload(update: ClientUpdate) -> bytes:
-    return wire.pack(
-        {
-            "type": "update",
-            "client_id": update.client_id,
-            "base_round": update.base_round,
-            "params": wire.encode_f64(update.params),
-            "sample_count": update.sample_count,
-        }
-    )
+    return wire.pack({"type": "update", **vars(update)})
 
 
 def _decode_update(payload: bytes) -> ClientUpdate:
     msg = wire.unpack(payload)
-    return ClientUpdate(
-        client_id=msg["client_id"],
-        base_round=msg["base_round"],
-        params=wire.decode_f64(msg["params"]),
-        sample_count=msg["sample_count"],
-    )
+    return ClientUpdate(msg["client_id"], msg["base_round"], msg["params"], msg["sample_count"])
 
 
 def _global_payload(round_index: int, params: np.ndarray) -> bytes:
-    return wire.pack({"type": "global", "round": round_index, "params": wire.encode_f64(params)})
+    return wire.pack({"type": "global", "round": round_index, "params": params})
 
 
 class _Server:
@@ -286,7 +273,7 @@ class _Client:
     def on_global(self, env: Envelope) -> None:
         msg = wire.unpack(env.payload)
         if msg["round"] > self.latest.round_index:
-            self.latest = GlobalModel(msg["round"], wire.decode_f64(msg["params"]))
+            self.latest = GlobalModel(msg["round"], msg["params"])
 
     def build_update(self, round_index: int) -> bytes:
         return _update_payload(
@@ -386,7 +373,7 @@ def privacy_violations(
     """Structural scan of an FL trace: parameters and counts only, no raw data.
 
     Checks every published envelope's header keys against the two wire schemas
-    and its `params` blob for a whole number of float64s, and, when a dataset is
+    and that its `params` field is a float64 vector, and, when a dataset is
     given, searches every raw payload for the bytes of sampled feature rows.
     Reports every problem; raises on none.
     """
@@ -408,10 +395,9 @@ def privacy_violations(
             issues.append(
                 f"msg {env.msg_id} on {env.topic}: keys {sorted(msg)} != {sorted(allowed)}"
             )
-        elif not isinstance(msg["params"], memoryview) or len(msg["params"]) % 8:
-            issues.append(
-                f"msg {env.msg_id} on {env.topic}: params is not a whole number of float64s"
-            )
+        elif not (isinstance(msg["params"], np.ndarray) and msg["params"].dtype == np.float64
+                  and msg["params"].ndim == 1):
+            issues.append(f"msg {env.msg_id} on {env.topic}: params is not a float64 vector")
     if dataset is not None:
         step = max(1, len(dataset) // sample_rows)
         for i in range(0, len(dataset), step):

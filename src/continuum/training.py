@@ -110,24 +110,22 @@ class _Worker:
     def on_message(self, env) -> None:
         msg = wire.unpack(env.payload)
         if "shard_features" in msg:  # first message carries the data shard
-            feats = wire.decode_f64(msg["shard_features"]).reshape(msg["shard_shape"])
-            labels = wire.decode_i64(msg["shard_labels"])
-            self.shard = Dataset(feats, labels, msg["num_classes"], name=f"shard{self.worker_id}")
+            self.shard = Dataset(msg["shard_features"], msg["shard_labels"], msg["num_classes"],
+                                 name=f"shard{self.worker_id}")
             self.terms = msg["terms"]
         if self.shard is None:
             raise RuntimeError(f"worker {self.worker_id} received params before its shard")
-        params = wire.decode_f64(msg["params"])
-        model = nn.deserialize_params(self.job.layer_sizes, self.job.hidden_activation, params)
+        model = nn.deserialize_params(self.job.layer_sizes, self.job.hidden_activation,
+                                      msg["params"])
         grads = worker_epoch(self.shard, model)
         reply = {
             "worker_id": self.worker_id,
             "epoch": msg["epoch"],
-            "grads": wire.encode_f64(nn.serialize_gradients(grads)),
+            "grads": nn.serialize_gradients(grads),
             "sample_count": grads.sample_count,
         }
         if self.terms:
-            picked, reply["correct"] = nn.eval_terms(grads.probs, self.shard.labels)
-            reply["picked"] = wire.encode_f64(picked)
+            reply["picked"], reply["correct"] = nn.eval_terms(grads.probs, self.shard.labels)
         self.broker.publish(self.node, GRADS_TOPIC, wire.pack(reply))
 
 
@@ -151,15 +149,14 @@ class _Coordinator:
         broker.subscribe(COORDINATOR_NODE, GRADS_TOPIC, self.on_gradient)
 
     def broadcast(self, first: bool) -> None:
-        params = wire.encode_f64(nn.serialize_params(self.model))
+        params = nn.serialize_params(self.model)
         for k, part in enumerate(self.parts):
             msg: dict = {"epoch": self.epoch, "params": params}
             if first:  # the shard travels once, as a copy of its rows
                 shard = part.dataset.take(part.rows)
                 msg.update(
-                    shard_features=wire.encode_f64(shard.features.ravel()),
-                    shard_shape=list(shard.features.shape),
-                    shard_labels=wire.encode_i64(shard.labels),
+                    shard_features=shard.features,
+                    shard_labels=shard.labels,
                     num_classes=shard.num_classes,
                     terms=self.rows_from_workers,
                 )
@@ -200,11 +197,12 @@ class _Coordinator:
                 f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
             )
         if self.rows_from_workers:  # the workers were told to send their terms
-            picked, correct = wire.decode_f64(msg["picked"]), msg["correct"]
+            picked, correct = msg["picked"], msg["correct"]
             rows = self.parts[worker_id].rows
-            if picked.shape[0] != rows.shape[0]:
+            if picked.shape != rows.shape:
+                count = picked.shape[0] if picked.ndim == 1 else f"a {picked.ndim}-d array of"
                 raise RuntimeError(
-                    f"{env.sender}: gradient of worker {worker_id} has {picked.shape[0]} picked "
+                    f"{env.sender}: gradient of worker {worker_id} has {count} picked "
                     f"probabilities for a shard of {rows.shape[0]} rows"
                 )
             if not ((picked >= 0.0) & (picked <= 1.0)).all():  # NaN fails both
@@ -219,7 +217,7 @@ class _Coordinator:
                 )
             self.picked[rows] = picked
             self.correct += correct
-        self.pending[worker_id] = (worker_id, wire.decode_f64(msg["grads"]), sample_count)
+        self.pending[worker_id] = (worker_id, msg["grads"], sample_count)
         if len(self.pending) < self.job.num_workers:
             return
         gathered = list(self.pending.values())

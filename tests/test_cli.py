@@ -3,11 +3,13 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import continuum
+from continuum import cli
 from continuum.cli import main
 
 BUNDLED = Path(__file__).resolve().parent.parent / "configs"
@@ -339,6 +341,62 @@ def test_replay_check_missing_output_exits_1(tmp_path):
 
 def test_replay_check_unreadable_manifest_exits_1(tmp_path):
     assert main(["replay-check", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "mangle, cause",
+    [
+        (lambda m: [m], "manifest is not a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "config"}, "manifest has no config"),
+        (lambda m: {**m, "outputs": [{"bytes": e["bytes"]} for e in m["outputs"]]},
+         "manifest outputs are not a list of entries that each have a path"),
+        (lambda m: {**m, "kind": ["sdp-sim"]}, "manifest has unknown kind ['sdp-sim']"),
+    ],
+    ids=["array", "no-config", "output-without-path", "unhashable-kind"],
+)
+def test_replay_check_on_a_manifest_of_the_wrong_shape_exits_1_naming_it(
+    tmp_path, capsys, mangle, cause
+):
+    config = write_config(tmp_path / "c.json", small_sdp_doc())
+    out = tmp_path / "out"
+    assert main(["sdp-sim", str(config), "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(mangle(json.loads(manifest_path.read_text()))))
+    capsys.readouterr()
+    assert main(["replay-check", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == f"runtime error: {manifest_path}: {cause}\n"
+
+
+def test_replay_check_on_a_manifest_that_is_not_utf8_exits_1(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_bytes(b'{"kind": "caf\xe9"}')
+    assert main(["replay-check", str(manifest_path)]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: cannot read manifest:")
+
+
+def test_config_that_is_not_utf8_exits_2_without_outputs(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["sdp-sim", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: not UTF-8 text:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, doc", [("dist-train", small_dist_doc()),
+                                          ("fl-run", small_fl_doc())], ids=["dist-train", "fl-run"])
+def test_a_tcp_bus_that_cannot_connect_leaves_no_broker_server_behind(
+    tmp_path, capsys, monkeypatch, command, doc
+):
+    def refuse(**_kwargs):
+        raise ConnectionRefusedError("connection refused")
+
+    monkeypatch.setattr(cli, "TcpBus", refuse)
+    config = write_config(tmp_path / "c.json", doc)
+    before = set(threading.enumerate())
+    assert main([command, str(config), "--out", str(tmp_path / "out"), "--bus", "tcp",
+                 "--bus-port", "0"]) == 1
+    assert capsys.readouterr().err == "runtime error: connection refused\n"
+    assert set(threading.enumerate()) - before == set()  # the accept thread was joined
 
 
 def test_no_writes_outside_output_dir(tmp_path, monkeypatch):

@@ -316,13 +316,12 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     dataset = small_dataset()
     broker = SimBroker()
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, b"{not json")
-    row = np.ascontiguousarray(dataset.features[0], dtype="<f8").tobytes()
     leak = wire.pack(
         {
             "type": "update",
             "client_id": 0,
             "base_round": 0,
-            "params": row,
+            "params": dataset.features[0],
             "sample_count": 1,
         }
     )
@@ -340,9 +339,8 @@ def test_privacy_scan_finds_a_row_inside_the_params_of_a_well_formed_update():
     _, broker = run_sync(small_config(rounds=2), dataset)
     update = next(e for e in broker.published if e.topic == federated.UPDATE_TOPIC)
     msg = wire.unpack(update.payload)
-    params = bytes(msg["params"])
-    row = np.ascontiguousarray(dataset.features[4], dtype="<f8").tobytes()
-    msg["params"] = params[:16] + row + params[16 + len(row):]  # same length, keys intact
+    row = dataset.features[4]
+    msg["params"][2:2 + len(row)] = row  # same length, keys intact
     traffic = SimBroker()
     traffic.publish(update.sender, federated.UPDATE_TOPIC, wire.pack(msg))
     assert federated.privacy_violations(traffic.published) == []
@@ -351,15 +349,16 @@ def test_privacy_scan_finds_a_row_inside_the_params_of_a_well_formed_update():
     ]
 
 
-def test_privacy_scan_reports_params_that_are_not_whole_float64s():
+def test_privacy_scan_reports_params_that_are_not_a_float64_vector():
     broker = SimBroker()
-    for params in (b"\x00" * 12, "AAAAAAAAAAA="):  # a torn blob; a base64 string field
+    # int64s; a float64 matrix; a base64 string field
+    for params in (np.zeros(3, dtype=np.int64), np.zeros((2, 2)), "AAAAAAAAAAA="):
         broker.publish("fog:client-0", federated.UPDATE_TOPIC, wire.pack(
             {"type": "update", "client_id": 0, "base_round": 0, "params": params,
              "sample_count": 1}))
     issues = federated.privacy_violations(broker.published, small_dataset())
     assert issues == [
-        f"msg {env.msg_id} on fl/updates: params is not a whole number of float64s"
+        f"msg {env.msg_id} on fl/updates: params is not a float64 vector"
         for env in broker.published
     ]
 

@@ -230,6 +230,9 @@ def test_stall_names_the_workers_that_did_not_report():
         ("fog:worker-0", 0, 40, 1, [0.5] * 59, 0,
          r"^fog:worker-0: gradient of worker 0 has 59 picked probabilities "
          r"for a shard of 60 rows$"),
+        ("fog:worker-0", 0, 40, 1, [[0.5]] * 60, 0,
+         r"^fog:worker-0: gradient of worker 0 has a 2-d array of picked probabilities "
+         r"for a shard of 60 rows$"),
         ("fog:worker-0", 0, 40, 1, [0.5] * 59 + [np.nan], 0,
          r"^fog:worker-0: gradient of worker 0 has a picked probability outside \[0, 1\]$"),
         ("fog:worker-0", 0, 40, 1, [1.5] + [0.5] * 59, 0,
@@ -242,7 +245,7 @@ def test_stall_names_the_workers_that_did_not_report():
          r"^fog:worker-0: gradient of worker 0 has correct 1\.0, not an int in \[0, 60\]$"),
     ],
     ids=["unknown-worker", "duplicate", "zero-samples", "impostor", "short-picked",
-         "picked-nan", "picked-above-one", "picked-negative", "correct-above-shard-rows",
+         "2-d-picked", "picked-nan", "picked-above-one", "picked-negative", "correct-above-shard-rows",
          "correct-not-int"],
 )
 def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
@@ -252,8 +255,7 @@ def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
     job = make_job(2, epochs=2)  # 120 samples: each worker's shard has 60 rows
     size = len(nn.serialize_params(nn.init_model(job.layer_sizes, job.hidden_activation, 0)))
     stray = wire.pack({"worker_id": worker_id, "epoch": 1, "sample_count": sample_count,
-                       "grads": wire.encode_f64(np.zeros(size)),
-                       "picked": wire.encode_f64(np.array(picked)),
+                       "grads": np.zeros(size), "picked": np.array(picked),
                        "correct": correct})
     broker = SimBroker()
     handle = training.submit_job(job, broker)
