@@ -44,7 +44,7 @@ log = logging.getLogger("continuum.cli")
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 4 << 20
-_TRIM_THRESHOLD_BYTES = 8 << 20
+_TRIM_THRESHOLD_BYTES = 16 << 20
 
 
 def _csv(header: list[str], row_format: str, rows: list[tuple]) -> bytes:
@@ -61,7 +61,11 @@ def _fix_malloc_thresholds() -> None:
     again (512 KiB matmul outputs, parameter vectors) are then mapped and faulted
     in, or the heap regrown, on every call. The fixed mmap threshold sits above the
     largest per-call temporary of the bundled workloads (16000x32 f64, 4,096,000 B,
-    in held-out evaluation), and the trim threshold above that.
+    in held-out evaluation). The trim threshold sits above the few such blocks one
+    evaluation frees together: at 8 MiB, with no long-lived allocation pinning the
+    heap top, glibc gave the freed evaluation temporaries of a 100-round 512-32-8 FL
+    run back every round and faulted them in again (105k minor faults, against 3.5k
+    at 16 MiB and 3.1k at 32 MiB; glibc 2.36, x86-64).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

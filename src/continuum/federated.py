@@ -222,6 +222,13 @@ class _Server:
                 f"{env.sender}: update of client {client_id} has sample_count "
                 f"{update.sample_count} < 1"
             )
+        if type(update.base_round) is not int or not 0 <= update.base_round <= self.round_index:
+            raise RuntimeError(
+                f"{env.sender}: update of client {client_id} has base_round "
+                f"{update.base_round!r}, not an int in [0, {self.round_index}]"
+            )
+        if mismatch := nn.vector_mismatch(update.params, self.params.shape[0]):
+            raise RuntimeError(f"{env.sender}: update of client {client_id} has params {mismatch}")
         previous = self.pending.get(update.client_id)
         if previous is None or update.base_round >= previous.base_round:
             self.pending[update.client_id] = update  # keep the freshest basis per client

@@ -16,6 +16,7 @@ model or gradient may sit on a read-only vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +114,34 @@ class Gradients:
         _unflatten(self)
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(
+    layer_sizes: tuple[int, ...],
+) -> tuple[int, tuple[tuple[slice, tuple[int, int]], ...], tuple[slice, ...]]:
+    """Parameter count, (slice, shape) of each layer's weights and slice of its biases."""
+    weights = []
+    biases = []
+    offset = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append((slice(offset, offset + fan_in * fan_out), (fan_in, fan_out)))
+        offset += fan_in * fan_out
+        biases.append(slice(offset, offset + fan_out))
+        offset += fan_out
+    return offset, tuple(weights), tuple(biases)
+
+
 def param_count(layer_sizes: tuple[int, ...] | list[int]) -> int:
-    return sum(
-        fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
-    )
+    return _layout(tuple(layer_sizes))[0]
+
+
+def vector_mismatch(value: object, count: int) -> str | None:
+    """How `value` differs from a float64 vector of `count` parameters; None if it does not."""
+    expected = f"not float64 of shape ({count},)"
+    if not isinstance(value, np.ndarray):
+        return f"of type {type(value).__name__}, {expected}"
+    if value.dtype != np.float64 or value.shape != (count,):
+        return f"of dtype {value.dtype} and shape {value.shape}, {expected}"
+    return None
 
 
 def init_model(
@@ -320,20 +345,12 @@ def _unflatten(holder: MlpModel | Gradients) -> None:
     """Check a model's or gradient's flat vector against its layer sizes, hold it as float64
     and set its per-layer weights and biases as views into it."""
     vec = np.asarray(holder.vector, dtype=np.float64)
-    expected = param_count(holder.layer_sizes)
+    expected, weights, biases = _layout(tuple(holder.layer_sizes))
     if vec.ndim != 1 or vec.shape[0] != expected:
         raise ValueError(f"parameter vector has length {vec.size}; expected {expected}")
-    weights = []
-    biases = []
-    offset = 0
-    for fan_in, fan_out in zip(holder.layer_sizes[:-1], holder.layer_sizes[1:]):
-        weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(vec[offset : offset + fan_out])
-        offset += fan_out
     object.__setattr__(holder, "vector", vec)
-    object.__setattr__(holder, "weights", tuple(weights))
-    object.__setattr__(holder, "biases", tuple(biases))
+    object.__setattr__(holder, "weights", tuple([vec[at].reshape(shape) for at, shape in weights]))
+    object.__setattr__(holder, "biases", tuple([vec[at] for at in biases]))
 
 
 def serialize_params(model: MlpModel) -> np.ndarray:

@@ -39,7 +39,7 @@ with its exception; deliveries not yet made stay queued for the next call.
 Publishes are acknowledged, giving at-least-once delivery within the process
 lifetime; a call whose connection closes before its ack, and a `drive` on a
 connection that has ended, raise ConnectionError at once. No retained
-messages, no persistence.
+messages, no persistence, and no record of the envelopes carried.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 from .bus import (
     MAX_FRAME_BYTES,
@@ -245,11 +245,14 @@ class TcpBus:
     """One connection that carries every node of the process, behind the bus.Bus contract.
 
     A node is only a name here: it travels as the sender of each PUB and SUB frame.
+    The bus keeps no envelope once it has delivered it.
     """
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    published: list[Envelope] = field(default_factory=list)
+
+    # Read by perfbench's tracer as what a bus still holds; a bus retains nothing.
+    published: ClassVar[tuple[Envelope, ...]] = ()
 
     def __post_init__(self) -> None:
         self._sock = socket.create_connection((self.host, self.port))
@@ -318,11 +321,7 @@ class TcpBus:
         validate_topic(topic)
         validate_payload(payload)
         with self._call_lock:
-            msg_id = self._call(Frame(PUB, 0, topic, sender, payload))
-            # recorded under the lock, so a close() that follows cannot lose it
-            self.published.append(
-                Envelope(msg_id, topic, bytes(payload), time.time() * 1000.0, sender))
-        return msg_id
+            return self._call(Frame(PUB, 0, topic, sender, payload))
 
     def drive(self, awaiting: Awaiting, timeout_ms: float = 120_000.0) -> None:
         """Run handlers, one at a time in arrival order, until `awaiting()` is empty.

@@ -196,6 +196,8 @@ class _Coordinator:
             raise RuntimeError(
                 f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
             )
+        if mismatch := nn.vector_mismatch(msg["grads"], self.model.param_count):
+            raise RuntimeError(f"{env.sender}: gradient of worker {worker_id} has grads {mismatch}")
         if self.rows_from_workers:  # the workers were told to send their terms
             picked, correct = msg["picked"], msg["correct"]
             rows = self.parts[worker_id].rows

@@ -1,6 +1,19 @@
 import re
 
 
+def record(bus) -> list:
+    """Every envelope `bus` delivers from now on, in delivery order.
+
+    A bus keeps nothing it carried, so a test that reads the trace subscribes a
+    recorder on '#'. On the sim bus its deliveries are extra events with their own
+    FIFO sequence numbers, so every other handler runs in the order it would
+    without the recorder.
+    """
+    trace: list = []
+    bus.subscribe("cloud:recorder", "#", trace.append)
+    return trace
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion after the run."""
     lines: dict[int, str] = {}

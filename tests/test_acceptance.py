@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record
 from continuum import federated, nn, training
 from continuum.bus import SimBroker, topic_matches
 from continuum.cli import main
@@ -51,10 +52,11 @@ def fmcw_experiment():
 def sync_run(fmcw_experiment):
     exp, dataset = fmcw_experiment
     broker = SimBroker()
+    trace = record(broker)
     start = time.perf_counter()
     result = federated.run_sync(exp.config, broker, dataset)
     elapsed = time.perf_counter() - start
-    return result, broker, elapsed
+    return result, trace, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +64,9 @@ def async_aligned_run(fmcw_experiment):
     exp, dataset = fmcw_experiment
     config = replace(exp.config, mode="async", aggregation_interval_ms=60_000.0)
     broker = SimBroker()
+    trace = record(broker)
     result = federated.run_async(config, broker, dataset, StragglerModel())
-    return result, broker
+    return result, trace
 
 
 # --- criterion 1: SDP first-item latency ------------------------------------
@@ -269,7 +272,7 @@ def test_criterion_05_fedavg_algebra():
 
 def test_criterion_06_sync_fl_convergence(sync_run):
     """3 clients, 100 rounds, lr 0.1: accuracy > 0.90 and the frozen curve re-matches."""
-    result, _broker, elapsed = sync_run
+    result, _trace, elapsed = sync_run
     assert elapsed < 120.0
     rows = federated.fl_metrics(result)
     assert len(rows) == 101
@@ -398,9 +401,9 @@ def test_criterion_09_every_command_is_replayable(tmp_path):
 def test_criterion_10_fl_trace_carries_no_raw_data(fmcw_experiment, sync_run, async_aligned_run):
     """Every published FL envelope holds parameters and counts only."""
     _, dataset = fmcw_experiment
-    _, sync_broker, _ = sync_run
-    assert federated.privacy_violations(sync_broker.published, dataset, sample_rows=64) == []
-    _, async_broker = async_aligned_run
-    assert federated.privacy_violations(async_broker.published, dataset, sample_rows=64) == []
+    _, sync_trace, _ = sync_run
+    assert federated.privacy_violations(sync_trace, dataset, sample_rows=64) == []
+    _, async_trace = async_aligned_run
+    assert federated.privacy_violations(async_trace, dataset, sample_rows=64) == []
     # 100 broadcasts (initial + one per non-final aggregation) + 3 updates/round
-    assert len(sync_broker.published) == 100 + 300
+    assert len(sync_trace) == 100 + 300

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from conftest import record
 from continuum.bus import Envelope, LinkLatency, SimBroker
 
 
@@ -115,14 +116,14 @@ def test_identical_workload_gives_identical_trace():
 
 def test_msg_ids_monotonic_and_publish_times_nondecreasing():
     broker = SimBroker()
-    broker.subscribe("fog:a", "#", lambda env: None)
+    trace = record(broker)
     broker.call_at(5.0, lambda: broker.publish("edge:s", "t/1", b""))
     broker.call_at(9.0, lambda: broker.publish("edge:s", "t/2", b""))
     broker.publish("edge:s", "t/0", b"")
     broker.run_until_idle()
-    ids = [env.msg_id for env in broker.published]
-    times = [env.publish_time for env in sorted(broker.published, key=lambda e: e.msg_id)]
-    assert ids == sorted(ids)
+    ids = [env.msg_id for env in trace]
+    times = [env.publish_time for env in sorted(trace, key=lambda e: e.msg_id)]
+    assert len(ids) == 3 and ids == sorted(ids)
     assert times == sorted(times)
 
 
@@ -164,6 +165,7 @@ def test_handlers_fire_in_subscription_order_for_equal_times():
 
 def test_publish_validation_holds_after_the_sender_published_validly():
     broker = SimBroker()
+    trace = record(broker)
     broker.publish("edge:s", "t", b"")
     for _ in range(2):  # a rejected pair is not remembered, so it is rejected again
         with pytest.raises(ValueError, match="node id"):
@@ -174,7 +176,8 @@ def test_publish_validation_holds_after_the_sender_published_validly():
         with pytest.raises(ValueError, match="16 MiB"):
             broker.publish("edge:s", "t", b"x" * (16 * 1024 * 1024 + 1))
     broker.publish("edge:s", "t", b"")
-    assert len(broker.published) == 2
+    broker.run_until_idle()
+    assert len(trace) == 2
 
 
 def test_call_at_passes_arguments_and_fires_equal_times_in_scheduling_order():

@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -232,6 +233,31 @@ def test_payload_cap_is_the_same_on_both_backends(backend):
         backend.bus.publish("edge:s", "conf/big", largest + b"!")
 
 
+def test_memory_does_not_grow_with_the_publish_count(backend):
+    delivered = [0]
+
+    def count(env):
+        delivered[0] += 1
+
+    backend.bus.subscribe("fog:a", "conf/mem", count)
+
+    def peak_traced_bytes(publishes):
+        tracemalloc.start()
+        try:
+            for i in range(publishes):  # one in flight at a time: no queue may grow either
+                target = delivered[0] + 1
+                # a new 64 KiB object each time, as a workload packs each message anew
+                backend.bus.publish("edge:s", "conf/mem", bytes([i % 256]) * (64 * 1024))
+                backend.settle(lambda: delivered[0] == target)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_traced_bytes(50), peak_traced_bytes(200)
+    assert delivered[0] == 250
+    assert long <= 1.05 * short + 64 * 1024, f"peak {short} B at 50 publishes, {long} B at 200"
+
+
 class SlowAckServer(TcpBrokerServer):
     """Acks late, so a subscriber sees a publish before its publisher sees the ack."""
 
@@ -244,14 +270,20 @@ def test_tcp_close_keeps_a_publish_still_waiting_for_its_ack():
     server = SlowAckServer(port=0)
     bus = TcpBus(port=server.port)
     try:
-        got = []
-        bus.subscribe("fog:w", "conf/ping", lambda env: bus.publish("fog:w", "conf/pong", b"last"))
+        got, msg_ids = [], []
+        bus.subscribe("fog:w", "conf/ping",
+                      lambda env: msg_ids.append(bus.publish("fog:w", "conf/pong", b"last")))
         bus.subscribe("cloud:c", "conf/pong", got.append)
         # published from a side thread, so drive starts before any ack arrives
-        threading.Thread(target=bus.publish, args=("edge:s", "conf/ping", b"go")).start()
+        side = threading.Thread(
+            target=lambda: msg_ids.append(bus.publish("edge:s", "conf/ping", b"go")))
+        side.start()
         bus.drive(lambda: [] if got else ["cloud:c"], timeout_ms=5_000.0)
         bus.close()
-        assert [env.payload for env in bus.published if env.topic == "conf/pong"] == [b"last"]
+        side.join(timeout=5.0)
+        # both publishes got their acks: close() waited for them rather than failing them
+        assert sorted(msg_ids) == [1, 2]
+        assert [env.payload for env in got] == [b"last"]
     finally:
         bus.close()
         server.close()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record
 from continuum import federated, nn, wire
 from continuum.bus import SimBroker
 from continuum.data import Part, next_round_batch, partition, synth_blobs
@@ -129,14 +130,15 @@ def test_client_rejects_wrong_param_length():
 
 def run_sync(config, dataset):
     broker = SimBroker()
+    trace = record(broker)
     result = federated.run_sync(config, broker, dataset)
-    return result, broker
+    return result, trace
 
 
 def test_sync_round_and_update_counts():
     config = small_config(rounds=8)
-    result, broker = run_sync(config, small_dataset())
-    updates = [e for e in broker.published if e.topic == federated.UPDATE_TOPIC]
+    result, trace = run_sync(config, small_dataset())
+    updates = [e for e in trace if e.topic == federated.UPDATE_TOPIC]
     assert len(updates) == 8 * 3  # every client contributes every round
     assert len(result.rows) == 9  # round 0 baseline plus one row per round
     assert [m.round for m in result.rows] == list(range(9))
@@ -221,16 +223,17 @@ def test_fl_setup_copies_no_training_rows():
 
 def run_async(config, dataset, stragglers=None):
     broker = SimBroker()
+    trace = record(broker)
     result = federated.run_async(config, broker, dataset, stragglers)
-    return result, broker
+    return result, trace
 
 
 def test_async_without_straggling_equals_sync():
     dataset = small_dataset()
-    sync_result, sync_broker = run_sync(small_config(rounds=10), dataset)
-    async_result, async_broker = run_async(small_config(mode="async", rounds=10), dataset)
-    for broker in (sync_broker, async_broker):  # no global follows the last round
-        assert sum(env.topic == federated.GLOBAL_TOPIC for env in broker.published) == 10
+    sync_result, sync_trace = run_sync(small_config(rounds=10), dataset)
+    async_result, async_trace = run_async(small_config(mode="async", rounds=10), dataset)
+    for trace in (sync_trace, async_trace):  # no global follows the last round
+        assert sum(env.topic == federated.GLOBAL_TOPIC for env in trace) == 10
     assert len(sync_result.rows) == len(async_result.rows)
     for a, b in zip(sync_result.rows, async_result.rows):
         assert a.round == b.round
@@ -304,17 +307,20 @@ def test_async_determinism():
 
 def test_fl_traffic_is_params_and_counts_only():
     dataset = small_dataset()
-    _, broker = run_sync(small_config(rounds=6), dataset)
-    assert federated.privacy_violations(broker.published, dataset) == []
-    _, async_broker = run_async(
+    _, trace = run_sync(small_config(rounds=6), dataset)
+    assert len(trace) == 6 + 6 * 3  # the initial global, 5 more, and 3 updates a round
+    assert federated.privacy_violations(trace, dataset) == []
+    _, async_trace = run_async(
         small_config(mode="async", rounds=6), dataset, StragglerModel(miss_probability=0.2)
     )
-    assert federated.privacy_violations(async_broker.published, dataset) == []
+    assert any(env.topic == federated.UPDATE_TOPIC for env in async_trace)
+    assert federated.privacy_violations(async_trace, dataset) == []
 
 
 def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     dataset = small_dataset()
     broker = SimBroker()
+    trace = record(broker)
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, b"{not json")
     leak = wire.pack(
         {
@@ -327,7 +333,8 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     )
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, leak)
     broker.publish("fog:client-0", "other/topic", b"{}")
-    issues = federated.privacy_violations(broker.published, dataset)
+    broker.run_until_idle()
+    issues = federated.privacy_violations(trace, dataset)
     assert len(issues) == 3
     assert any("not a JSON" in i for i in issues)
     assert any("sample 0" in i for i in issues)
@@ -336,30 +343,34 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
 
 def test_privacy_scan_finds_a_row_inside_the_params_of_a_well_formed_update():
     dataset = small_dataset()
-    _, broker = run_sync(small_config(rounds=2), dataset)
-    update = next(e for e in broker.published if e.topic == federated.UPDATE_TOPIC)
+    _, trace = run_sync(small_config(rounds=2), dataset)
+    update = next(e for e in trace if e.topic == federated.UPDATE_TOPIC)
     msg = wire.unpack(update.payload)
     row = dataset.features[4]
     msg["params"][2:2 + len(row)] = row  # same length, keys intact
     traffic = SimBroker()
+    leaked = record(traffic)
     traffic.publish(update.sender, federated.UPDATE_TOPIC, wire.pack(msg))
-    assert federated.privacy_violations(traffic.published) == []
-    assert federated.privacy_violations(traffic.published, dataset, sample_rows=240) == [
+    traffic.run_until_idle()
+    assert len(leaked) == 1
+    assert federated.privacy_violations(leaked) == []
+    assert federated.privacy_violations(leaked, dataset, sample_rows=240) == [
         "raw bytes of sample 4 appear in a published payload"
     ]
 
 
 def test_privacy_scan_reports_params_that_are_not_a_float64_vector():
     broker = SimBroker()
+    trace = record(broker)
     # int64s; a float64 matrix; a base64 string field
     for params in (np.zeros(3, dtype=np.int64), np.zeros((2, 2)), "AAAAAAAAAAA="):
         broker.publish("fog:client-0", federated.UPDATE_TOPIC, wire.pack(
             {"type": "update", "client_id": 0, "base_round": 0, "params": params,
              "sample_count": 1}))
-    issues = federated.privacy_violations(broker.published, small_dataset())
+    broker.run_until_idle()
+    issues = federated.privacy_violations(trace, small_dataset())
     assert issues == [
-        f"msg {env.msg_id} on fl/updates: params is not a float64 vector"
-        for env in broker.published
+        f"msg {msg_id} on fl/updates: params is not a float64 vector" for msg_id in (1, 2, 3)
     ]
 
 
@@ -382,23 +393,37 @@ class StrayUpdateBroker(SimBroker):
         return msg_id
 
 
+PARAMS = nn.serialize_params(nn.init_model((6, 5, 3), "sigmoid", 0))  # small_config's model
+
+
 @pytest.mark.parametrize("mode", ["sync", "async"])
 @pytest.mark.parametrize(
-    "sender, client_id, sample_count, cause",
+    "sender, client_id, base_round, params, sample_count, cause",
     [
-        ("fog:rogue", 99, 10, r"^fog:rogue: update names unknown client_id 99$"),
-        ("fog:client-0", 0, 0, r"^fog:client-0: update of client 0 has sample_count 0 < 1$"),
-        ("fog:rogue", 0, 10,
+        ("fog:rogue", 99, 0, PARAMS, 10, r"^fog:rogue: update names unknown client_id 99$"),
+        ("fog:client-0", 0, 0, PARAMS, 0,
+         r"^fog:client-0: update of client 0 has sample_count 0 < 1$"),
+        ("fog:rogue", 0, 0, PARAMS, 10,
          r"^fog:rogue: update names client 0, which only fog:client-0 may send$"),
+        ("fog:client-0", 0, 5, PARAMS, 10,
+         r"^fog:client-0: update of client 0 has base_round 5, not an int in \[0, 0\]$"),
+        ("fog:client-0", 0, -1, PARAMS, 10,
+         r"^fog:client-0: update of client 0 has base_round -1, not an int in \[0, 0\]$"),
+        ("fog:client-0", 0, 0, PARAMS[:7], 10,
+         r"^fog:client-0: update of client 0 has params of dtype float64 and shape \(7,\), "
+         r"not float64 of shape \(53,\)$"),
+        ("fog:client-0", 0, 0, PARAMS.astype(np.int64), 10,
+         r"^fog:client-0: update of client 0 has params of dtype int64 and shape \(53,\), "
+         r"not float64 of shape \(53,\)$"),
     ],
-    ids=["unknown-client", "zero-samples", "impostor"],
+    ids=["unknown-client", "zero-samples", "impostor", "future-round", "negative-round",
+         "short-params", "int64-params"],
 )
 def test_server_rejects_a_stray_update_naming_its_sender(
-    mode, sender, client_id, sample_count, cause
+    mode, sender, client_id, base_round, params, sample_count, cause
 ):
     config = small_config(mode=mode, rounds=3)
-    params = nn.serialize_params(nn.init_model(config.layer_sizes, config.hidden_activation, 0))
-    stray = federated._update_payload(ClientUpdate(client_id, 0, params, sample_count))
+    stray = federated._update_payload(ClientUpdate(client_id, base_round, params, sample_count))
     broker = StrayUpdateBroker(sender, stray)
     run = federated.run_sync if mode == "sync" else federated.run_async
     with pytest.raises(RuntimeError, match=cause):

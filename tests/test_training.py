@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import record
 from continuum import nn, training, wire
 from continuum.bus import SimBroker
 from continuum.data import partition, synth_blobs
@@ -38,10 +41,12 @@ def flat(worker_id: int, grads: nn.Gradients) -> tuple[int, np.ndarray, int]:
     return worker_id, nn.serialize_gradients(grads), grads.sample_count
 
 
-def run_job(job: training.TrainJob) -> tuple[training.TrainResult, SimBroker]:
+def run_job(job: training.TrainJob) -> tuple[training.TrainResult, list]:
+    """The job's result and every envelope the sim bus delivered while running it."""
     broker = SimBroker()
+    trace = record(broker)
     handle = training.submit_job(job, broker)
-    return training.run_training(handle), broker
+    return training.run_training(handle), trace
 
 
 def test_shard_sizes_for_517_samples_across_3_workers():
@@ -170,12 +175,30 @@ def test_epoch_metrics_one_row_per_epoch():
 def test_message_count_per_epoch_is_twice_the_workers():
     epochs, workers = 4, 3
     job = make_job(workers, epochs=epochs)
-    _, broker = run_job(job)
-    assign = [e for e in broker.published if "/worker/" in e.topic]
-    grads = [e for e in broker.published if e.topic.endswith("/gradients")]
+    _, trace = run_job(job)
+    assign = [e for e in trace if "/worker/" in e.topic]
+    grads = [e for e in trace if e.topic.endswith("/gradients")]
     assert len(assign) == epochs * workers
     assert len(grads) == epochs * workers
     assert len(assign) + len(grads) == epochs * 2 * workers
+
+
+def peak_traced_bytes(job: training.TrainJob) -> int:
+    """Peak memory traced while a sim-bus run of `job` is submitted and driven."""
+    tracemalloc.start()
+    try:
+        training.run_training(training.submit_job(job, SimBroker()))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_epoch_count():
+    # each epoch carries four 37 KiB parameter or gradient vectors, which a bus that
+    # kept what it carried would hold: 7.3 MiB at 50 epochs, 29 MiB at 200
+    short, long = (peak_traced_bytes(make_job(2, epochs=epochs, n=200, sizes=(64, 64, 8)))
+                   for epochs in (50, 200))
+    assert long <= 1.05 * short + 64 * 1024, f"peak {short} B at 50 epochs, {long} B at 200"
 
 
 def test_coordinator_deserializes_gradients_once_per_epoch(monkeypatch):
@@ -265,6 +288,30 @@ def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
         training.run_training(handle)
 
 
+@pytest.mark.parametrize(
+    "grads, cause",
+    [
+        (np.zeros(7), r"of dtype float64 and shape \(7,\), not float64 of shape \(53,\)$"),
+        (np.zeros(53, dtype=np.int64),
+         r"of dtype int64 and shape \(53,\), not float64 of shape \(53,\)$"),
+        (np.zeros((53, 1)), r"of dtype float64 and shape \(53, 1\), not float64 of shape \(53,\)$"),
+        ([0.0] * 53, r"of type list, not float64 of shape \(53,\)$"),
+    ],
+    ids=["short", "int64", "2-d", "json-list"],
+)
+def test_coordinator_rejects_grads_that_do_not_fit_the_model_naming_their_sender(
+    monkeypatch, grads, cause
+):
+    monkeypatch.setattr(nn, "batch_invariant", lambda *args: False)  # so no terms are read
+    job = make_job(1, epochs=2)  # a 6-5-3 model: 53 parameters
+    stray = wire.pack({"worker_id": 0, "epoch": 1, "sample_count": 40, "grads": grads})
+    broker = SimBroker()
+    handle = training.submit_job(job, broker)
+    broker.publish("fog:worker-0", training.GRADS_TOPIC, stray)  # ahead of the worker's own
+    with pytest.raises(RuntimeError, match=r"^fog:worker-0: gradient of worker 0 has grads " + cause):
+        training.run_training(handle)
+
+
 def capture_epoch_models(monkeypatch) -> list[nn.MlpModel]:
     """Every model the coordinator steps to, in epoch order."""
     models = []
@@ -344,11 +391,10 @@ def test_workers_send_terms_only_where_the_probe_finds_the_job_batch_invariant(
 ):
     monkeypatch.setattr(nn, "batch_invariant", lambda *args: invariant)
     job = make_job(3, epochs=4)
-    result, broker = run_job(job)
-    first = [wire.unpack(e.payload) for e in broker.published if "/worker/" in e.topic][:3]
+    result, trace = run_job(job)
+    first = [wire.unpack(e.payload) for e in trace if "/worker/" in e.topic][:3]
     assert [msg["terms"] for msg in first] == [invariant] * 3
-    gradients = [wire.unpack(e.payload) for e in broker.published
-                 if e.topic == training.GRADS_TOPIC]
+    gradients = [wire.unpack(e.payload) for e in trace if e.topic == training.GRADS_TOPIC]
     assert len(gradients) == 12
     for msg in gradients:
         assert ("picked" in msg, "correct" in msg) == (invariant, invariant)
