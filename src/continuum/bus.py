@@ -23,6 +23,8 @@ NODE_LAYERS = ("edge", "fog", "cloud")
 Handler = Callable[["Envelope"], None]
 # What a workload still waits for, by name (a node id, "item 3"); empty once it is done.
 Awaiting = Callable[[], Collection[str]]
+# Either backend's debug line for one delivery: time in ms, topic, msg id, receiving node.
+DELIVER_LINE = "deliver t=%.3f topic=%s msg=%d -> %s"
 
 
 def validate_topic(topic: str) -> str:
@@ -44,6 +46,11 @@ def validate_payload(payload: bytes) -> bytes:
 def stalled(cause: str, missing: Collection[str]) -> RuntimeError:
     """The error either backend's `drive` raises when a workload stops short of done."""
     return RuntimeError(f"{cause}; still awaiting {sorted(missing)}")
+
+
+def handler_raised(node: str, topic: str) -> RuntimeError:
+    """The cause either backend chains to a handler's exception, naming where it raised."""
+    return RuntimeError(f"a handler of {node} raised on topic {topic!r}")
 
 
 def validate_filter(filt: str) -> str:
@@ -152,11 +159,12 @@ class Bus(Protocol):
 
     Handlers run only inside `drive(awaiting, timeout_ms)`, on the thread that
     calls it, one at a time, in arrival order, until `awaiting()` is empty. A
-    raising handler ends the call with its exception; deliveries not yet made
-    wait for the next. A stuck workload (sim: queue drained; TCP: `timeout_ms`
-    passed) raises a RuntimeError naming `sorted(awaiting())`, and a lost TCP
-    broker a ConnectionError at once. A bus keeps no envelope once it has
-    delivered it; a caller that wants a trace subscribes on '#'.
+    raising handler ends the call with its exception, caused by `handler_raised`;
+    deliveries not yet made wait for the next. A stuck workload (sim: queue
+    drained; TCP: `timeout_ms` passed) raises a RuntimeError naming
+    `sorted(awaiting())`, and a lost TCP broker a ConnectionError at once. A bus
+    keeps no envelope once it has delivered it; a caller that wants a trace
+    subscribes on '#'.
     """
 
     def subscribe(self, node: str, filt: str, handler: Handler) -> int: ...
@@ -253,8 +261,11 @@ class SimBroker:
         if entry is None:  # unsubscribed while in flight
             return
         if self._trace:
-            log.debug("deliver t=%.3f topic=%s msg=%d -> %s", self.clock.now, env.topic, env.msg_id, entry[0])
-        entry[1](env)
+            log.debug(DELIVER_LINE, self.clock.now, env.topic, env.msg_id, entry[0])
+        try:
+            entry[1](env)
+        except Exception as exc:
+            raise exc from handler_raised(entry[0], env.topic)
 
     def run_until_idle(self) -> float:
         """Process events in (due, seq) order until none remain.

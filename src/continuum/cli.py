@@ -8,6 +8,7 @@ output hashes so `continuum replay-check` can re-execute and byte-compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -17,6 +18,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__, federated
 from .bus import Bus, SimBroker
@@ -91,44 +93,35 @@ def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _resolved_doc(doc: dict, seed: int, exp) -> dict:
+def _resolved_doc(doc: dict, exp: SdpExperiment | DistTrainExperiment | FlExperiment) -> dict:
     """The config as persisted in the manifest: seed filled, file paths absolute."""
     resolved = json.loads(json.dumps(doc))
-    resolved["seed"] = seed
-    dataset = getattr(exp, "dataset", None)
-    if dataset is not None and dataset.csv is not None and "csv" in resolved.get("dataset", {}):
-        resolved["dataset"]["csv"]["path"] = dataset.csv["path"]
+    resolved["seed"] = exp.seed
+    if exp.dataset is not None and exp.dataset.csv is not None:
+        resolved["dataset"]["csv"]["path"] = exp.dataset.csv["path"]
     return resolved
 
 
-class _BusContext:
-    """Owns the broker for one run; TCP mode spins a local broker server."""
-
-    def __init__(self, backend: str, port: int):
-        self.server: TcpBrokerServer | None = None
-        self.bus: Bus
-        if backend == "sim":
-            self.bus = SimBroker()
-        else:
-            self.server = TcpBrokerServer(port=port)
-            try:
-                self.bus = self._tcp_bus = TcpBus(port=self.server.port)
-            except BaseException:  # no caller holds this context to close it
-                self.server.close()
-                raise
-
-    def close(self) -> None:
-        if self.server is not None:
-            self._tcp_bus.close()
-            self.server.close()
+@contextlib.contextmanager
+def _open_bus(backend: str, port: int, sim_only: str | None = None) -> Iterator[Bus]:
+    """The bus of one run: a SimBroker, or a TcpBus on a local TcpBrokerServer, closed
+    bus first, then server, however the run ends. A run that needs the virtual clock
+    passes as `sim_only` the config error that refuses any other backend."""
+    if backend == "sim":
+        yield SimBroker()
+    elif sim_only is not None:
+        raise ConfigError(sim_only)
+    else:
+        with contextlib.closing(TcpBrokerServer(port=port)) as server, \
+                contextlib.closing(TcpBus(port=server.port)) as bus:
+            yield bus
 
 
 def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
-    if backend != "sim":
-        raise ConfigError("sdp-sim requires the simulated bus (virtual-time service queues)")
-    broker = SimBroker()
-    instance = build_pipeline(exp.pipeline, broker)
-    traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
+    with _open_bus(backend, port, "sdp-sim requires the simulated bus "
+                   "(virtual-time service queues)") as broker:
+        instance = build_pipeline(exp.pipeline, broker)
+        traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
     stats = pipeline_stats(traces, records)
     items = _csv(
         ["item_id", "arrival_ms", "completion_ms", "sojourn_ms"],
@@ -161,12 +154,8 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    ctx = _BusContext(backend, port)
-    try:
-        handle = submit_job(job, ctx.bus)
-        result = run_training(handle)
-    finally:
-        ctx.close()
+    with _open_bus(backend, port) as bus:
+        result = run_training(submit_job(job, bus))
     epochs = _csv(
         ["epoch", "loss", "accuracy"],
         "%d,%.17g,%.17g\n",
@@ -184,16 +173,12 @@ def _execute_fl(exp: FlExperiment, backend: str, port: int):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if exp.config.mode == "async":
-        if backend != "sim":
-            raise ConfigError("fl-run in async mode requires the simulated bus (interval timers)")
-        broker = SimBroker()
-        result = federated.run_async(exp.config, broker, dataset, exp.stragglers)
+        with _open_bus(backend, port, "fl-run in async mode requires the simulated bus "
+                       "(interval timers)") as broker:
+            result = federated.run_async(exp.config, broker, dataset, exp.stragglers)
     else:
-        ctx = _BusContext(backend, port)
-        try:
-            result = federated.run_sync(exp.config, ctx.bus, dataset)
-        finally:
-            ctx.close()
+        with _open_bus(backend, port) as bus:
+            result = federated.run_sync(exp.config, bus, dataset)
     metrics = federated.fl_metrics(result)
     rows = _csv(
         ["round", "test_accuracy", "test_loss", "contributors"],
@@ -208,18 +193,13 @@ def _execute_fl(exp: FlExperiment, backend: str, port: int):
     return {"fl_rounds.csv": rows}, summary
 
 
+# kind -> (parse(doc, seed_override, config_dir), execute(experiment, backend, port), help)
 _KINDS = {
-    "sdp-sim": (parse_sdp, _execute_sdp),
-    "dist-train": (parse_dist_train, _execute_dist_train),
-    "fl-run": (parse_fl, _execute_fl),
+    "sdp-sim": (parse_sdp, _execute_sdp, "run a staged data-pipeline simulation"),
+    "dist-train": (parse_dist_train, _execute_dist_train,
+                   "run coordinator/worker data-parallel training"),
+    "fl-run": (parse_fl, _execute_fl, "run a federated learning experiment"),
 }
-
-
-def _parse_experiment(kind: str, doc, seed_override: int | None, config_dir: Path | None):
-    parser = _KINDS[kind][0]
-    if kind == "sdp-sim":
-        return parser(doc, seed_override)
-    return parser(doc, seed_override, config_dir)
 
 
 def _write_outputs(
@@ -257,7 +237,7 @@ def _run_experiment(kind: str, args) -> int:
     config_path = Path(args.config)
     try:
         doc = json.loads(config_path.read_text(encoding="utf-8"))
-        exp = _parse_experiment(kind, doc, args.seed, config_path.parent)
+        exp = _KINDS[kind][0](doc, args.seed, config_path.parent)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -285,17 +265,16 @@ def _run_experiment(kind: str, args) -> int:
         return EXIT_RUNTIME
     elapsed = time.perf_counter() - t0
 
-    seed = exp.seed if hasattr(exp, "seed") else exp.config.seed
     out_dir = Path(args.out)
     try:
-        _write_outputs(out_dir, kind, _resolved_doc(doc, seed, exp), seed, files, started,
+        _write_outputs(out_dir, kind, _resolved_doc(doc, exp), exp.seed, files, started,
                        _utc_now(), args.bus)
     except OSError as exc:
         print(f"runtime error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(summary)
     print(f"wrote {', '.join(sorted(files))} and manifest.json to {out_dir} "
-          f"(seed {seed}, {elapsed:.2f}s)")
+          f"(seed {exp.seed}, {elapsed:.2f}s)")
     return EXIT_OK
 
 
@@ -344,7 +323,7 @@ def _replay_check(args) -> int:
             return EXIT_RUNTIME
         originals[entry["path"]] = path.read_bytes()
     try:
-        exp = _parse_experiment(kind, manifest["config"], None, out_dir)
+        exp = _KINDS[kind][0](manifest["config"], None, out_dir)
     except ConfigError as exc:
         print(f"config error: manifest config invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -377,11 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"continuum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind, help_text in (
-        ("sdp-sim", "run a staged data-pipeline simulation"),
-        ("dist-train", "run coordinator/worker data-parallel training"),
-        ("fl-run", "run a federated learning experiment"),
-    ):
+    for kind, (_parse, _execute, help_text) in _KINDS.items():
         sp = sub.add_parser(kind, help=help_text)
         sp.add_argument("config", help="path to the experiment JSON document")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")

@@ -6,9 +6,11 @@ diagnostic before any output is written.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .data import Dataset, load_csv, synth_blobs
 from .federated import FlConfig, StragglerModel
@@ -26,7 +28,10 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
+def _check_object(doc, allowed: set[str], where: str) -> None:
+    """Reject a `doc` that is not a JSON object, or that has a field outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected {'a JSON' if where == 'top level' else 'an'} object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}; expected {sorted(allowed)}")
@@ -43,6 +48,8 @@ def _int(value, where: str, minimum: int | None = None) -> int:
 def _num(value, where: str, minimum: float | None = None, maximum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):  # JSON's NaN and Infinity tokens parse to floats
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -100,16 +107,12 @@ class DatasetConfig:
 
 
 def parse_dataset(doc, where: str = "dataset", config_dir: Path | None = None) -> DatasetConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(doc, {"synth", "csv"}, where)
+    _check_object(doc, {"synth", "csv"}, where)
     if ("synth" in doc) == ("csv" in doc):
         raise ConfigError(f"{where}: exactly one of 'synth' or 'csv' must be present")
     if "synth" in doc:
         s = doc["synth"]
-        if not isinstance(s, dict):
-            raise ConfigError(f"{where}.synth: expected an object")
-        _reject_unknown(s, {"n", "d", "classes", "separation", "seed"}, f"{where}.synth")
+        _check_object(s, {"n", "d", "classes", "separation", "seed"}, f"{where}.synth")
         spec = {
             "n": _int(_require(s, "n", f"{where}.synth"), f"{where}.synth.n", 2),
             "d": _int(_require(s, "d", f"{where}.synth"), f"{where}.synth.d", 1),
@@ -123,9 +126,7 @@ def parse_dataset(doc, where: str = "dataset", config_dir: Path | None = None) -
                               f"got {spec['n']}")
         return DatasetConfig(synth=spec)
     c = doc["csv"]
-    if not isinstance(c, dict):
-        raise ConfigError(f"{where}.csv: expected an object")
-    _reject_unknown(c, {"path", "label_column", "num_classes", "has_header"}, f"{where}.csv")
+    _check_object(c, {"path", "label_column", "num_classes", "has_header"}, f"{where}.csv")
     path = Path(_str(_require(c, "path", f"{where}.csv"), f"{where}.csv.path"))
     if config_dir is not None and not path.is_absolute():
         path = config_dir / path
@@ -151,21 +152,23 @@ class SdpExperiment:
     pipeline: PipelineSpec
     arrivals: ArrivalSchedule
     seed: int
+    dataset: ClassVar[None] = None  # a pipeline reads no dataset
 
 
-def parse_sdp(doc: dict, seed_override: int | None = None) -> SdpExperiment:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _reject_unknown(doc, {"name", "seed", "source_topic", "arrivals", "stages"}, "top level")
+def parse_sdp(
+    doc: dict, seed_override: int | None = None, config_dir: Path | None = None
+) -> SdpExperiment:
+    """`config_dir` is unused, as a pipeline names no file; every parse_* takes it."""
+    _check_object(doc, {"name", "seed", "source_topic", "arrivals", "stages"}, "top level")
     name = _str(_require(doc, "name", "top level"), "name")
     seed = resolve_seed(doc.get("seed"), seed_override)
     source = _str(_require(doc, "source_topic", "top level"), "source_topic")
 
     arrivals_doc = _require(doc, "arrivals", "top level")
-    if not isinstance(arrivals_doc, dict):
-        raise ConfigError("arrivals: expected an object")
-    _reject_unknown(arrivals_doc, {"count", "interval_ms", "times_ms"}, "arrivals")
+    _check_object(arrivals_doc, {"count", "interval_ms", "times_ms"}, "arrivals")
     if "times_ms" in arrivals_doc:
+        if len(arrivals_doc) > 1:
+            raise ConfigError("arrivals: times_ms excludes count and interval_ms")
         times = arrivals_doc["times_ms"]
         if not isinstance(times, list):
             raise ConfigError(f"arrivals.times_ms: expected an array of times, got {times!r}")
@@ -188,9 +191,7 @@ def parse_sdp(doc: dict, seed_override: int | None = None) -> SdpExperiment:
     stages = []
     for i, s in enumerate(stages_doc):
         where = f"stages[{i}]"
-        if not isinstance(s, dict):
-            raise ConfigError(f"{where}: expected an object")
-        _reject_unknown(
+        _check_object(
             s,
             {"name", "node", "input_topic", "output_topic", "service_ms",
              "service_uniform_ms", "kind", "servers", "cold_start_ms",
@@ -255,9 +256,7 @@ def _parse_layers(doc: dict, where: str = "layers") -> tuple[int, ...]:
 def parse_dist_train(
     doc: dict, seed_override: int | None = None, config_dir: Path | None = None
 ) -> DistTrainExperiment:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _reject_unknown(
+    _check_object(
         doc, {"layers", "activation", "lr", "epochs", "workers", "seed", "dataset"}, "top level"
     )
     learning_rate = _num(_require(doc, "lr", "top level"), "lr")
@@ -280,13 +279,15 @@ class FlExperiment:
     stragglers: StragglerModel
     dataset: DatasetConfig
 
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
 
 def parse_fl(
     doc: dict, seed_override: int | None = None, config_dir: Path | None = None
 ) -> FlExperiment:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _reject_unknown(
+    _check_object(
         doc,
         {"mode", "clients", "rounds", "samples_per_round", "local_epochs", "lr",
          "interval_ms", "staleness_bound", "straggler_p", "straggler_delay_ms",

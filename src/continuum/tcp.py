@@ -45,6 +45,7 @@ messages, no persistence, and no record of the envelopes carried.
 from __future__ import annotations
 
 import itertools
+import logging
 import queue
 import socket
 import struct
@@ -54,17 +55,20 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 from .bus import (
+    DELIVER_LINE,
     MAX_FRAME_BYTES,
     Awaiting,
     Envelope,
     Handler,
     RouteTable,
+    handler_raised,
     stalled,
     validate_filter,
     validate_node_id,
     validate_payload,
     validate_topic,
 )
+from .bus import log as trace_log
 
 DEFAULT_PORT = 18883
 _ACK_TIMEOUT_S = 10.0
@@ -266,6 +270,7 @@ class TcpBus:
         self._routes = RouteTable()  # of sub_ids; guarded by _subs_lock
         self._subs_lock = threading.Lock()
         self._sub_ids = itertools.count(1)
+        self._trace = trace_log.isEnabledFor(logging.DEBUG)  # DELIVER_LINE, t in wall-clock ms
         threading.Thread(target=self._reader_loop, daemon=True).start()
 
     def _reader_loop(self) -> None:
@@ -347,10 +352,13 @@ class TcpBus:
                 entry = self._subs.get(sub_id)
             if entry is None:
                 continue
+            if self._trace:
+                now_ms = time.time() * 1000.0
+                trace_log.debug(DELIVER_LINE, now_ms, env.topic, env.msg_id, entry[0])
             try:
                 entry[1](env)
             except Exception as exc:
-                raise exc from RuntimeError(f"a handler of {entry[0]} raised on topic {env.topic!r}")
+                raise exc from handler_raised(entry[0], env.topic)
 
     def close(self) -> None:
         """Shut the socket once any publish or subscribe in flight has its ack."""

@@ -1,5 +1,7 @@
 """One behavioural suite, two backends: the simulated broker and the TCP broker."""
 
+import logging
+import re
 import socket
 import sys
 import threading
@@ -165,9 +167,26 @@ def test_handler_exception_surfaces_from_drive_at_once(backend):
         backend.bus.drive(lambda: ["fog:a"], timeout_ms=5_000.0)
     assert time.monotonic() - start < 2.0
     assert seen == [b"1"]
-    if backend.name == "tcp":  # the TCP drive names where the handler failed
-        assert "fog:a" in str(info.value.__cause__)
-        assert "conf/bad" in str(info.value.__cause__)
+    assert str(info.value.__cause__) == "a handler of fog:a raised on topic 'conf/bad'"
+
+
+@pytest.mark.parametrize("make", [SimBackend, TcpBackend], ids=["sim", "tcp"])
+def test_trace_log_has_one_deliver_line_per_delivery_on_either_backend(caplog, make):
+    caplog.set_level(logging.DEBUG, logger="continuum.bus")
+    backend = make()  # a bus reads the log level as it is built
+    try:
+        got = []
+        backend.bus.subscribe("fog:a", "conf/#", got.append)
+        backend.bus.subscribe("fog:b", "conf/+", got.append)
+        backend.bus.publish("edge:s", "conf/1", b"")
+        backend.bus.publish("edge:s", "conf", b"")
+        backend.settle(lambda: len(got) == 3)
+    finally:
+        backend.close()
+    lines = [r.getMessage() for r in caplog.records if r.name == "continuum.bus"]
+    assert [re.fullmatch(r"deliver t=\d+\.\d{3} topic=(\S+) msg=(\d+) -> (\S+)", line).groups()
+            for line in lines] == [("conf/1", "1", "fog:a"), ("conf/1", "1", "fog:b"),
+                                   ("conf", "2", "fog:a")]
 
 
 def test_drive_after_a_raising_handler_dispatches_what_is_still_queued(backend):

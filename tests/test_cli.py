@@ -133,6 +133,11 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
         ("fl-run", small_fl_doc("async", interval_ms=0), "interval_ms"),
         ("fl-run", small_fl_doc("async", straggler_p=1.5), "straggler_p"),
         ("fl-run", small_fl_doc("async", straggler_delay_ms=[5, 1]), "straggler_delay_ms[1]"),
+        ("fl-run", small_fl_doc("async", straggler_p=float("nan")), "straggler_p"),
+        ("fl-run", small_fl_doc("async", lr=float("nan")), "lr"),
+        ("fl-run", small_fl_doc("async", interval_ms=float("inf")), "interval_ms"),
+        ("sdp-sim", dict(small_sdp_doc(), arrivals={"times_ms": [0, 10], "count": 500,
+                                                     "interval_ms": 1}), "arrivals"),
         # the csv path need only exist: the config is rejected before the file is read
         ("dist-train", dict(small_dist_doc(), dataset={"csv": {
             "path": __file__, "label_column": 6, "num_classes": 3, "has_header": "no"}}),
@@ -142,6 +147,7 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
          "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool", "sdp-stage-name-empty",
          "dist-synth-n-under-classes",
          "fl-async-interval-0", "fl-straggler-p-over-1", "fl-delay-reversed",
+         "fl-straggler-p-nan", "fl-lr-nan", "fl-interval-infinite", "sdp-times-with-count",
          "csv-has-header-string"],
 )
 def test_bad_hyperparameter_exits_2_naming_its_field(tmp_path, capsys, command, doc, field):
@@ -258,14 +264,17 @@ def test_fl_async_rejects_tcp_bus(tmp_path):
     assert main(["fl-run", str(config), "--out", str(tmp_path / "o"), "--bus", "tcp"]) == 2
 
 
-def test_dist_train_over_tcp_matches_sim(tmp_path):
-    config = write_config(tmp_path / "c.json", small_dist_doc(epochs=3))
+@pytest.mark.parametrize("command, doc, csv", [
+    ("dist-train", small_dist_doc(epochs=3), "epochs.csv"),
+    ("fl-run", small_fl_doc("sync", rounds=3), "fl_rounds.csv"),
+], ids=["dist-train", "fl-sync"])
+def test_run_over_tcp_writes_the_sim_runs_csv_bytes(tmp_path, command, doc, csv):
+    config = write_config(tmp_path / "c.json", doc)
     out_sim, out_tcp = tmp_path / "sim", tmp_path / "tcp"
-    assert main(["dist-train", str(config), "--out", str(out_sim)]) == 0
-    assert main(["dist-train", str(config), "--out", str(out_tcp), "--bus", "tcp"]) == 0
-    sim_rows, tcp_rows = read_rows(out_sim / "epochs.csv"), read_rows(out_tcp / "epochs.csv")
-    for rs, rt in zip(sim_rows, tcp_rows):
-        assert float(rt[1]) == pytest.approx(float(rs[1]), abs=1e-9)
+    assert main([command, str(config), "--out", str(out_sim)]) == 0
+    assert main([command, str(config), "--out", str(out_tcp), "--bus", "tcp",
+                 "--bus-port", "0"]) == 0
+    assert (out_tcp / csv).read_bytes() == (out_sim / csv).read_bytes()
 
 
 def test_manifest_records_the_bus_outside_the_config_hash(tmp_path, capsys):
@@ -283,13 +292,6 @@ def test_manifest_records_the_bus_outside_the_config_hash(tmp_path, capsys):
     assert "the run used the tcp bus; replaying it on the sim bus" in capsys.readouterr().out
     assert main(["replay-check", str(out_sim / "manifest.json")]) == 0
     assert "replaying it on the sim bus" not in capsys.readouterr().out
-
-
-def test_fl_sync_over_tcp(tmp_path):
-    config = write_config(tmp_path / "c.json", small_fl_doc("sync", rounds=3))
-    out = tmp_path / "out"
-    assert main(["fl-run", str(config), "--out", str(out), "--bus", "tcp"]) == 0
-    assert len(read_rows(out / "fl_rounds.csv")) == 4
 
 
 def test_replay_check_passes_then_detects_tampering(tmp_path, capsys):
