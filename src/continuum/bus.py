@@ -13,7 +13,8 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Hashable, NamedTuple, Protocol
+from types import MappingProxyType
+from typing import Callable, Collection, Hashable, Mapping, NamedTuple, Protocol
 
 log = logging.getLogger("continuum.bus")
 
@@ -132,14 +133,21 @@ class Envelope(NamedTuple):
     sender: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkLatency:
-    """Directed per-pair delivery latency in ms with a default for unlisted pairs."""
+    """Directed per-pair delivery latency in ms with a default for unlisted pairs.
 
-    pairs: dict[tuple[str, str], float] = field(default_factory=dict)
+    Immutable, `pairs` included (it is held as a read-only copy), so a broker may
+    cache the latencies it has looked up. Every latency is held as a Python float.
+    """
+
+    pairs: Mapping[tuple[str, str], float] = field(default_factory=dict, hash=False)
     default_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        pairs = MappingProxyType({pair: float(ms) for pair, ms in self.pairs.items()})
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "default_ms", float(self.default_ms))
         if self.default_ms < 0:
             raise ValueError("default latency must be >= 0")
         for (a, b), ms in self.pairs.items():
@@ -178,7 +186,12 @@ class Bus(Protocol):
 
 class SimClock:
     """Virtual-time event queue: `call_at(due_ms, fn, *args)` schedules the call
-    `fn(*args)`, and equal due times fire in scheduling (FIFO) order."""
+    `fn(*args)`, and equal due times fire in scheduling (FIFO) order.
+
+    Events are keyed (due, seq). A caller that schedules a stream of events one
+    at a time takes their sequence numbers up front with `reserve` and pushes
+    each with `push`, so they fire as if all had gone through `call_at` at once.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -190,6 +203,16 @@ class SimClock:
         if due < self.now:
             raise ValueError(f"cannot schedule at {due} ms: time is already {self.now} ms")
         heapq.heappush(self._heap, (due, next(self._seq), fn, args))
+
+    def reserve(self, n: int) -> int:
+        """Take `n` consecutive sequence numbers for later `push` calls; returns the first."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
+    def push(self, due: float, seq: int, fn: Callable[..., None], *args) -> None:
+        """Schedule `fn(*args)` at `due` under a reserved `seq`; the caller keeps due >= now."""
+        heapq.heappush(self._heap, (due, seq, fn, args))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -224,7 +247,8 @@ class SimBroker:
         self._routes = RouteTable()  # of sub_ids
         self._sub_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
-        self._valid_pairs: set[tuple[str, str]] = set()  # (sender, topic) pairs that passed
+        # (sender, topic) -> [(latency_ms, sub_id)] in route order; cleared on (un)subscribe
+        self._fanouts: dict[tuple[str, str], list[tuple[float, int]]] = {}
         self._trace = log.isEnabledFor(logging.DEBUG)
 
     @property
@@ -237,23 +261,35 @@ class SimBroker:
         sub_id = next(self._sub_ids)
         self._subs[sub_id] = (node, handler)
         self._routes.add(sub_id, filt)
+        self._fanouts.clear()
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
         self._subs.pop(sub_id, None)
         self._routes.remove(sub_id)
+        self._fanouts.clear()
+
+    def _fanout(self, sender: str, topic: str) -> list[tuple[float, int]]:
+        """Validate a new (sender, topic) pair and cache its deliveries' latencies."""
+        validate_node_id(sender)
+        validate_topic(topic)
+        between, subs = self.latency.between, self._subs
+        fanout = [(between(sender, subs[s][0]), s) for s in self._routes.route(topic)]
+        self._fanouts[(sender, topic)] = fanout
+        return fanout
 
     def publish(self, sender: str, topic: str, payload: bytes) -> int:
-        if (sender, topic) not in self._valid_pairs:
-            validate_node_id(sender)
-            validate_topic(topic)
-            self._valid_pairs.add((sender, topic))
+        fanout = self._fanouts.get((sender, topic))
+        if fanout is None:
+            fanout = self._fanout(sender, topic)
         validate_payload(payload)
         clock = self.clock
-        env = Envelope(next(self._msg_ids), topic, bytes(payload), clock.now, sender)
-        for sub_id in self._routes.route(topic):
-            due = clock.now + self.latency.between(sender, self._subs[sub_id][0])
-            clock.call_at(due, self._deliver, sub_id, env)
+        now = clock.now
+        env = Envelope(next(self._msg_ids), topic, bytes(payload), now, sender)
+        # latencies are >= 0, so no delivery is due before now: call_at's check cannot fail
+        heap, seq, deliver = clock._heap, clock._seq, self._deliver
+        for latency_ms, sub_id in fanout:
+            heapq.heappush(heap, (now + latency_ms, next(seq), deliver, (sub_id, env)))
         return env.msg_id
 
     def _deliver(self, sub_id: int, env: Envelope) -> None:

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import __version__, federated
 from .bus import Bus, SimBroker
@@ -48,10 +49,22 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 4 << 20
 _TRIM_THRESHOLD_BYTES = 16 << 20
 
+# rows formatted and encoded at a time, so no per-row string outlives its chunk
+_CSV_CHUNK_ROWS = 1024
 
-def _csv(header: list[str], row_format: str, rows: list[tuple]) -> bytes:
-    """One CSV file: `row_format` is a %-format of one line, such as "%d,%.17g\\n"."""
-    return (",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))).encode("utf-8")
+
+def _csv(header: list[str], row_format: str, rows: Sequence[tuple]) -> bytes:
+    """One CSV file: `row_format` is a %-format of one line, such as "%d,%.17g\\n".
+
+    Chunks go into one growing buffer, whose bytes `getvalue` hands back without
+    a copy, so the file is never held twice.
+    """
+    line = row_format.__mod__
+    out = io.BytesIO()
+    out.write((",".join(header) + "\n").encode("utf-8"))
+    for i in range(0, len(rows), _CSV_CHUNK_ROWS):
+        out.write("".join(map(line, rows[i:i + _CSV_CHUNK_ROWS])).encode("utf-8"))
+    return out.getvalue()
 
 
 def _fix_malloc_thresholds() -> None:
@@ -123,16 +136,11 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
         instance = build_pipeline(exp.pipeline, broker)
         traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
     stats = pipeline_stats(traces, records)
-    items = _csv(
-        ["item_id", "arrival_ms", "completion_ms", "sojourn_ms"],
-        "%d,%.17g,%.17g,%.17g\n",
-        [(t.item_id, t.arrival_ms, t.completion_ms, t.sojourn_ms) for t in traces],
-    )
-    stages = _csv(
-        ["item_id", "stage", "enqueue_ms", "start_ms", "end_ms"],
-        "%d,%s,%.17g,%.17g,%.17g\n",
-        [(r.item_id, r.stage, r.enqueue_ms, r.start_ms, r.end_ms) for r in records],
-    )
+    # ItemTrace and StageRecord are tuples in their CSV's column order
+    items = _csv(["item_id", "arrival_ms", "completion_ms", "sojourn_ms"],
+                 "%d,%.17g,%.17g,%.17g\n", traces)
+    stages = _csv(["item_id", "stage", "enqueue_ms", "start_ms", "end_ms"],
+                  "%d,%s,%.17g,%.17g,%.17g\n", records)
     summary = (
         f"{len(traces)} items completed; mean sojourn {stats.mean_sojourn_ms:.1f} ms, "
         f"max {stats.max_sojourn_ms:.1f} ms"
@@ -229,6 +237,11 @@ def _write_outputs(
     tmp.replace(out_dir / "manifest.json")
 
 
+def _describe(exc: BaseException) -> str:
+    """An exception's text, or its type's name where it has none (as `MemoryError()`)."""
+    return str(exc) or type(exc).__name__
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
@@ -251,6 +264,9 @@ def _run_experiment(kind: str, args) -> int:
     except ConfigError as exc:
         print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:  # json.loads: an integer of more digits than int() converts
+        print(f"config error: {config_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     started = _utc_now()
     t0 = time.perf_counter()
@@ -261,7 +277,7 @@ def _run_experiment(kind: str, args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {_describe(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
     elapsed = time.perf_counter() - t0
 
@@ -333,7 +349,7 @@ def _replay_check(args) -> int:
     try:
         files, _summary = _KINDS[kind][1](exp, "sim", 0)
     except Exception as exc:  # noqa: BLE001
-        print(f"runtime error: replay failed: {exc}", file=sys.stderr)
+        print(f"runtime error: replay failed: {_describe(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
     for name, original in sorted(originals.items()):
         replayed = files.get(name)

@@ -48,13 +48,18 @@ def _int(value, where: str, minimum: int | None = None) -> int:
 def _num(value, where: str, minimum: float | None = None, maximum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):  # JSON's NaN and Infinity tokens parse to floats
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ConfigError(f"{where}: expected a finite number, got an integer too large "
+                          "for a float") from None
+    if not math.isfinite(number):  # JSON's NaN and Infinity tokens parse to floats
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
+    if minimum is not None and number < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
+    if maximum is not None and number > maximum:
         raise ConfigError(f"{where}: must be <= {maximum}, got {value}")
-    return float(value)
+    return number
 
 
 def _range(pair, where: str) -> tuple[float, float]:

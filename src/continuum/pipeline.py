@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +19,13 @@ from . import wire
 from .bus import SimBroker, topic_matches, validate_filter, validate_node_id, validate_topic
 
 STAGE_KINDS = ("process", "serverless_function")
+UNIT_BLOCK = 4096
+
+
+def unit_doubles(rng: np.random.Generator) -> Iterator[float]:
+    """`rng.random()`'s sequence of doubles in [0, 1), drawn UNIT_BLOCK at a time."""
+    while True:
+        yield from rng.random(UNIT_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,7 @@ class Constant:
         if self.ms < 0:
             raise ValueError("service time must be >= 0")
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, units: Iterator[float]) -> float:
         return self.ms
 
 
@@ -42,8 +49,9 @@ class Uniform:
         if self.lo_ms < 0 or self.hi_ms < self.lo_ms:
             raise ValueError("need 0 <= lo_ms <= hi_ms")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo_ms, self.hi_ms))
+    def draw(self, units: Iterator[float]) -> float:
+        """`rng.uniform(lo_ms, hi_ms)`'s next value, bit for bit, from `unit_doubles(rng)`."""
+        return self.lo_ms + (self.hi_ms - self.lo_ms) * next(units)
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,9 @@ class ArrivalSchedule:
         return [i * float(self.interval_ms) for i in range(self.count)]
 
 
-@dataclass
-class StageRecord:
+class StageRecord(NamedTuple):
+    """One item's pass through one stage; fields in stages.csv column order."""
+
     item_id: int
     stage: str
     enqueue_ms: float
@@ -141,15 +150,13 @@ class StageRecord:
     end_ms: float
 
 
-@dataclass
-class ItemTrace:
+class ItemTrace(NamedTuple):
+    """One item's passage through the pipeline; fields in items.csv column order."""
+
     item_id: int
     arrival_ms: float
     completion_ms: float
-
-    @property
-    def sojourn_ms(self) -> float:
-        return self.completion_ms - self.arrival_ms
+    sojourn_ms: float  # completion_ms - arrival_ms
 
 
 class _StageRuntime:
@@ -158,6 +165,8 @@ class _StageRuntime:
     def __init__(self, spec: StageSpec, instance: "PipelineInstance"):
         self.spec = spec
         self.instance = instance
+        self.clock = instance.broker.clock
+        self.cold_starts = spec.kind == "serverless_function" and spec.cold_start_ms > 0
         self.queue: deque[tuple[int, bytes, float]] = deque()
         self.busy = 0
         self.last_service_end: float | None = None
@@ -169,17 +178,17 @@ class _StageRuntime:
                 f"stage {self.spec.name!r} received a payload that is not one of this run's "
                 f"items on topic {env.topic!r} from {env.sender!r}"
             )
-        self.queue.append((item_id, env.payload, self.instance.broker.now))
+        self.queue.append((item_id, env.payload, self.clock.now))
         self._try_start()
 
     def _try_start(self) -> None:
-        broker = self.instance.broker
+        clock = self.clock
         while self.busy < self.spec.servers and self.queue:
             item_id, payload, enqueue_ms = self.queue.popleft()
             self.busy += 1
-            start = broker.now
-            duration = self.spec.service.draw(self.instance.rng)
-            if self.spec.kind == "serverless_function" and self.spec.cold_start_ms > 0:
+            start = clock.now
+            duration = self.spec.service.draw(self.instance.units)
+            if self.cold_starts:
                 idle = (
                     None
                     if self.last_service_end is None
@@ -187,18 +196,17 @@ class _StageRuntime:
                 )
                 if idle is None or idle >= self.spec.cold_idle_threshold_ms:
                     duration += self.spec.cold_start_ms
-            broker.call_at(start + duration, self._finish, item_id, payload, enqueue_ms, start)
+            clock.call_at(start + duration, self._finish, item_id, payload, enqueue_ms, start)
 
     def _finish(self, item_id: int, payload: bytes, enqueue_ms: float, start_ms: float) -> None:
-        broker = self.instance.broker
-        end = broker.now
+        end = self.clock.now
         self.busy -= 1
         self.last_service_end = end
         self.instance.records.append(
             StageRecord(item_id, self.spec.name, enqueue_ms, start_ms, end)
         )
         if self.spec.output_topic is not None:
-            broker.publish(self.spec.node, self.spec.output_topic, payload)
+            self.instance.broker.publish(self.spec.node, self.spec.output_topic, payload)
         else:
             self.instance.completions[item_id] = end
         self._try_start()
@@ -207,18 +215,20 @@ class _StageRuntime:
 class PipelineInstance:
     """A pipeline wired onto a broker: one subscription and one queue per stage.
 
-    `run_pipeline` sets the service-time `rng` and maps each payload it packs
-    to its item id, so a stage reads the id without decoding the payload.
+    For the length of a run, `run_pipeline` sets the service times' `units`
+    (`unit_doubles` of the seeded generator) and maps the payload it packs for
+    each arriving item to its item id, so a stage reads the id without decoding
+    the payload.
     """
 
-    rng: np.random.Generator
+    units: Iterator[float]
+    item_ids: dict[bytes, int]
+    records: list[StageRecord]
+    completions: dict[int, float]
 
     def __init__(self, spec: PipelineSpec, broker: SimBroker):
         self.spec = spec
         self.broker = broker
-        self.item_ids: dict[bytes, int] = {}
-        self.records: list[StageRecord] = []
-        self.completions: dict[int, float] = {}
         self.stages = [_StageRuntime(s, self) for s in spec.stages]
         for stage in self.stages:
             broker.subscribe(stage.spec.node, stage.spec.input_topic, stage.on_message)
@@ -234,22 +244,38 @@ def run_pipeline(
     seed: int = 0,
     source_node: str = "edge:source",
 ) -> tuple[list[ItemTrace], list[StageRecord]]:
-    """Inject the arrival schedule, drive every item to completion, and return the traces."""
+    """Inject the arrival schedule, drive every item to completion, and return the traces.
+
+    Arrivals are scheduled one ahead (each arrival event schedules the next), so
+    the event queue holds in-flight work rather than the whole schedule. Their
+    sequence numbers are reserved up front, so they fire exactly as if all had
+    been scheduled at once.
+    """
     broker = instance.broker
-    instance.rng = np.random.default_rng(seed)
-    instance.item_ids.clear()
-    instance.records.clear()
-    instance.completions.clear()
+    clock = broker.clock
+    instance.units = unit_doubles(np.random.default_rng(seed))
+    instance.item_ids, instance.records, instance.completions = {}, [], {}
     validate_node_id(source_node)
     times = arrivals.times()
-    for item_id, t in enumerate(times):
+    if times[0] < clock.now:
+        raise ValueError(f"cannot schedule at {times[0]} ms: time is already {clock.now} ms")
+    topic, first = instance.spec.source_topic, clock.reserve(len(times))
+
+    def arrive(item_id: int) -> None:
+        if item_id + 1 < len(times):
+            clock.push(times[item_id + 1], first + item_id + 1, arrive, item_id + 1)
         payload = wire.pack({"item_id": item_id})
         instance.item_ids[payload] = item_id
-        broker.call_at(t, broker.publish, source_node, instance.spec.source_topic, payload)
+        broker.publish(source_node, topic, payload)
+
+    clock.push(times[0], first, arrive, 0)
     broker.drive(lambda: [f"item {i}" for i in range(len(times)) if i not in instance.completions])
-    traces = [ItemTrace(i, t, instance.completions[i]) for i, t in enumerate(times)]
+    completions, records = instance.completions, instance.records
+    traces = [ItemTrace(i, t, completions[i], completions[i] - t) for i, t in enumerate(times)]
     order = {s.name: i for i, s in enumerate(instance.spec.stages)}
-    records = sorted(instance.records, key=lambda r: (r.item_id, order[r.stage]))
+    records.sort(key=lambda r: (r.item_id, order[r.stage]))
+    # drop the run's per-item state, so the caller formats its CSVs without it in memory
+    instance.item_ids, instance.records, instance.completions = {}, [], {}
     return traces, records
 
 

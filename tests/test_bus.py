@@ -1,9 +1,10 @@
+import dataclasses
 import logging
 
 import pytest
 
 from conftest import record
-from continuum.bus import Envelope, LinkLatency, SimBroker
+from continuum.bus import Envelope, LinkLatency, SimBroker, SimClock
 
 
 def collect(broker: SimBroker, node: str, filt: str) -> list[Envelope]:
@@ -206,6 +207,70 @@ def test_call_at_before_now_raises():
     with pytest.raises(ValueError, match="time is already 10.0 ms"):
         broker.call_at(9.0, print, "too late")
     assert broker.clock.pending() == 0
+
+
+def test_reserved_sequence_numbers_fire_as_call_at_would():
+    # (due, label): equal due times break ties by sequence number
+    events = [(10.0, "a"), (5.0, "b"), (10.0, "c"), (5.0, "d"), (7.0, "e")]
+
+    def fire_all(schedule) -> list[str]:
+        clock, fired = SimClock(), []
+        schedule(clock, fired.append)
+        while clock.pending():
+            clock.step()
+        return fired
+
+    def with_call_at(clock, fire):
+        for due, label in events:
+            clock.call_at(due, fire, label)
+        clock.call_at(5.0, fire, "after")
+
+    def with_reserve(clock, fire):
+        first = clock.reserve(len(events))
+        clock.call_at(5.0, fire, "after")  # takes the number after the reserved block
+        for i in reversed(range(len(events))):  # push order does not matter, the numbers do
+            clock.push(events[i][0], first + i, fire, events[i][1])
+
+    expected = ["b", "d", "after", "e", "a", "c"]
+    assert fire_all(with_call_at) == fire_all(with_reserve) == expected
+
+
+def test_cached_fanout_is_rebuilt_after_subscribe_and_unsubscribe():
+    broker = SimBroker(latency=LinkLatency(pairs={("edge:s", "fog:b"): 7.0}, default_ms=2.0))
+    seen = []
+
+    def seen_by(node):
+        return lambda env: seen.append((node, env.payload, broker.now))
+
+    first = broker.subscribe("fog:a", "t", seen_by("fog:a"))
+    broker.publish("edge:s", "t", b"1")
+    broker.run_until_idle()
+    broker.subscribe("fog:b", "t", seen_by("fog:b"))
+    broker.publish("edge:s", "t", b"2")
+    broker.run_until_idle()
+    broker.unsubscribe(first)
+    broker.publish("edge:s", "t", b"3")
+    assert broker.clock.pending() == 1  # no event queued for the gone subscriber
+    broker.run_until_idle()
+    assert seen == [
+        ("fog:a", b"1", 2.0),
+        ("fog:a", b"2", 4.0), ("fog:b", b"2", 9.0),
+        ("fog:b", b"3", 16.0),
+    ]
+
+
+def test_link_latency_cannot_be_changed_after_it_is_built():
+    pairs = {("edge:a", "fog:b"): 5.0}
+    latency = LinkLatency(pairs=pairs, default_ms=1.0)
+    pairs[("edge:a", "fog:b")] = 50.0  # the caller's dict is copied, not held
+    assert latency.between("edge:a", "fog:b") == 5.0
+    with pytest.raises(TypeError):
+        latency.pairs[("edge:a", "fog:b")] = 50.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        latency.default_ms = 9.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        latency.pairs = {}
+    assert latency == LinkLatency(pairs={("edge:a", "fog:b"): 5.0}, default_ms=1.0)
 
 
 def test_trace_log_has_one_deliver_line_per_delivery(caplog):

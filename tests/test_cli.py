@@ -90,6 +90,15 @@ def test_malformed_json_exits_2_without_outputs(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(small_dist_doc()).replace('"lr": 0.3', '"lr": 1' + "0" * 5000))
+    out = tmp_path / "out"
+    assert main(["dist-train", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: ")
+    assert not out.exists()
+
+
 def test_missing_field_exits_2_with_field_name(tmp_path, capsys):
     doc = small_sdp_doc()
     del doc["source_topic"]
@@ -120,6 +129,7 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
     "command, doc, field",
     [
         ("dist-train", dict(small_dist_doc(), lr=0), "lr"),
+        ("dist-train", dict(small_dist_doc(), lr=10**400), "lr"),  # beyond float range
         ("dist-train", dict(small_dist_doc(), activation="swish"), "activation"),
         ("fl-run", small_fl_doc(activation="swish"), "activation"),
         ("sdp-sim", _sdp_doc_with(uniform=[5, 1]), "stages[0].service_uniform_ms[1]"),
@@ -143,9 +153,9 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
             "path": __file__, "label_column": 6, "num_classes": 3, "has_header": "no"}}),
          "dataset.csv.has_header"),
     ],
-    ids=["dist-lr-0", "dist-swish", "fl-swish", "sdp-uniform-reversed", "sdp-time-string",
-         "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool", "sdp-stage-name-empty",
-         "dist-synth-n-under-classes",
+    ids=["dist-lr-0", "dist-lr-huge-int", "dist-swish", "fl-swish", "sdp-uniform-reversed",
+         "sdp-time-string", "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool",
+         "sdp-stage-name-empty", "dist-synth-n-under-classes",
          "fl-async-interval-0", "fl-straggler-p-over-1", "fl-delay-reversed",
          "fl-straggler-p-nan", "fl-lr-nan", "fl-interval-infinite", "sdp-times-with-count",
          "csv-has-header-string"],
@@ -399,6 +409,17 @@ def test_a_tcp_bus_that_cannot_connect_leaves_no_broker_server_behind(
                  "--bus-port", "0"]) == 1
     assert capsys.readouterr().err == "runtime error: connection refused\n"
     assert set(threading.enumerate()) - before == set()  # the accept thread was joined
+
+
+def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_pipeline", exhausted)
+    config = write_config(tmp_path / "c.json", small_sdp_doc())
+    assert main(["sdp-sim", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_writes_outside_output_dir(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from continuum.pipeline import (
     pipeline_stats,
     run_pipeline,
     tandem_oracle,
+    unit_doubles,
 )
 
 
@@ -152,6 +153,37 @@ def test_queueing_law_and_stats():
     assert stats.max_sojourn_ms == 188_000.0
     # bottleneck busy time over the makespan (last completion at 283 s)
     assert stats.per_stage_utilization["extract_objects"] == pytest.approx(280_000.0 / 283_000.0)
+
+
+def test_event_queue_holds_in_flight_work_not_the_schedule():
+    # arrivals every 100 ms into two 700 ms and 300 ms stages: items pile up in the
+    # stage queues, while the event queue holds only the next arrival, the events
+    # of items in service and deliveries in flight
+    def event_queue_high_water(count: int) -> int:
+        broker = SimBroker()
+        instance = build_pipeline(chain_spec([700.0, 300.0]), broker)
+        high = [0]
+
+        def observe(env) -> None:
+            high[0] = max(high[0], broker.clock.pending())
+
+        broker.subscribe("cloud:observer", "chain/#", observe)
+        traces, _ = run_pipeline(instance, ArrivalSchedule(count=count, interval_ms=100.0))
+        assert len(traces) == count
+        return high[0]
+
+    assert event_queue_high_water(200) <= 8
+    assert event_queue_high_water(400) <= 8
+
+
+def test_uniform_services_equal_scalar_rng_uniform():
+    # two stages share one generator; the draws cross several blocks of unit_doubles
+    services = [Uniform(1000.0, 2000.0), Uniform(0.25, 3.5)]
+    units = unit_doubles(np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    drawn = [services[i % 2].draw(units) for i in range(10_000)]
+    scalar = [float(rng.uniform(s.lo_ms, s.hi_ms)) for s in services * 5_000]
+    assert drawn == scalar
 
 
 def test_no_items_lost():
