@@ -32,9 +32,9 @@ from .configs import (
     parse_fl,
     parse_sdp,
 )
-from .pipeline import build_pipeline, pipeline_stats, run_pipeline
+from .pipeline import ItemTrace, StageRecord, build_pipeline, pipeline_stats, run_pipeline
 from .tcp import TcpBrokerServer, TcpBus
-from .training import TrainJob, run_training, submit_job
+from .training import EpochMetrics, TrainJob, run_training, submit_job
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -53,15 +53,16 @@ _TRIM_THRESHOLD_BYTES = 16 << 20
 _CSV_CHUNK_ROWS = 1024
 
 
-def _csv(header: list[str], row_format: str, rows: Sequence[tuple]) -> bytes:
-    """One CSV file: `row_format` is a %-format of one line, such as "%d,%.17g\\n".
+def _csv(record: type, row_format: str, rows: Sequence[tuple]) -> bytes:
+    """One CSV file of `record` NamedTuples, headed by the type's fields: `row_format`
+    is a %-format of one line, such as "%d,%.17g\\n".
 
     Chunks go into one growing buffer, whose bytes `getvalue` hands back without
     a copy, so the file is never held twice.
     """
     line = row_format.__mod__
     out = io.BytesIO()
-    out.write((",".join(header) + "\n").encode("utf-8"))
+    out.write((",".join(record._fields) + "\n").encode("utf-8"))
     for i in range(0, len(rows), _CSV_CHUNK_ROWS):
         out.write("".join(map(line, rows[i:i + _CSV_CHUNK_ROWS])).encode("utf-8"))
     return out.getvalue()
@@ -136,11 +137,8 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
         instance = build_pipeline(exp.pipeline, broker)
         traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
     stats = pipeline_stats(traces, records)
-    # ItemTrace and StageRecord are tuples in their CSV's column order
-    items = _csv(["item_id", "arrival_ms", "completion_ms", "sojourn_ms"],
-                 "%d,%.17g,%.17g,%.17g\n", traces)
-    stages = _csv(["item_id", "stage", "enqueue_ms", "start_ms", "end_ms"],
-                  "%d,%s,%.17g,%.17g,%.17g\n", records)
+    items = _csv(ItemTrace, "%d,%.17g,%.17g,%.17g\n", traces)
+    stages = _csv(StageRecord, "%d,%s,%.17g,%.17g,%.17g\n", records)
     summary = (
         f"{len(traces)} items completed; mean sojourn {stats.mean_sojourn_ms:.1f} ms, "
         f"max {stats.max_sojourn_ms:.1f} ms"
@@ -164,11 +162,7 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
         raise ConfigError(str(exc)) from None
     with _open_bus(backend, port) as bus:
         result = run_training(submit_job(job, bus))
-    epochs = _csv(
-        ["epoch", "loss", "accuracy"],
-        "%d,%.17g,%.17g\n",
-        [(m.epoch, m.loss, m.accuracy) for m in result.epochs],
-    )
+    epochs = _csv(EpochMetrics, "%d,%.17g,%.17g\n", result.epochs)
     final = result.epochs[-1]
     summary = f"{exp.epochs} epochs on {exp.workers} workers; final accuracy {final.accuracy:.4f}"
     return {"epochs.csv": epochs}, summary
@@ -188,11 +182,7 @@ def _execute_fl(exp: FlExperiment, backend: str, port: int):
         with _open_bus(backend, port) as bus:
             result = federated.run_sync(exp.config, bus, dataset)
     metrics = federated.fl_metrics(result)
-    rows = _csv(
-        ["round", "test_accuracy", "test_loss", "contributors"],
-        "%d,%.17g,%.17g,%d\n",
-        [(m.round, m.test_accuracy, m.test_loss, m.contributors) for m in metrics],
-    )
+    rows = _csv(federated.RoundMetrics, "%d,%.17g,%.17g,%d\n", metrics)
     final = metrics[-1]
     summary = (
         f"{exp.config.mode} federated run, {exp.config.rounds} rounds, "

@@ -12,6 +12,7 @@ identical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +111,9 @@ class GlobalModel:
     params: np.ndarray
 
 
-@dataclass
-class RoundMetrics:
+class RoundMetrics(NamedTuple):
+    """One round's held-out scores; fields in fl_rounds.csv column order."""
+
     round: int
     test_accuracy: float
     test_loss: float
@@ -217,10 +219,11 @@ class _Server:
             raise RuntimeError(
                 f"{env.sender}: update names client {client_id}, which only {expected} may send"
             )
-        if update.sample_count < 1:
+        sample_count = update.sample_count
+        if type(sample_count) is not int or sample_count < 1:
             raise RuntimeError(
-                f"{env.sender}: update of client {client_id} has sample_count "
-                f"{update.sample_count} < 1"
+                f"{env.sender}: update of client {client_id} has sample_count {sample_count!r}"
+                + (" < 1" if type(sample_count) is int else ", not an int")
             )
         if type(update.base_round) is not int or not 0 <= update.base_round <= self.round_index:
             raise RuntimeError(

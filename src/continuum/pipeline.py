@@ -9,6 +9,7 @@ the correctness oracle for the whole engine.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -20,6 +21,7 @@ from .bus import SimBroker, topic_matches, validate_filter, validate_node_id, va
 
 STAGE_KINDS = ("process", "serverless_function")
 UNIT_BLOCK = 4096
+SOURCE_NODE = "edge:source"  # the node that publishes each arriving item
 
 
 def unit_doubles(rng: np.random.Generator) -> Iterator[float]:
@@ -112,6 +114,12 @@ class PipelineSpec:
                 )
         if self.stages[-1].output_topic is not None:
             raise ValueError(f"terminal stage {self.stages[-1].name!r} must not publish onward")
+        published = [self.source_topic] + [s.output_topic for s in self.stages[:-1]]
+        for k, stage in enumerate(self.stages):  # stage k's upstream publishes published[k]
+            for topic in published[:k] + published[k + 1:]:
+                if topic_matches(stage.input_topic, topic):
+                    raise ValueError(f"stage {stage.name!r} would see each item more than once: "
+                                     f"its input {stage.input_topic!r} also matches {topic!r}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,12 @@ class ArrivalSchedule:
                 raise ValueError("count must be >= 1")
             if self.interval_ms <= 0:
                 raise ValueError("interval_ms must be > 0")
+            try:  # the last arrival time, as times() computes it
+                last = (self.count - 1) * float(self.interval_ms)
+            except OverflowError:  # a count beyond float range
+                last = math.inf
+            if not math.isfinite(last):
+                raise ValueError("the last arrival time, (count - 1) * interval_ms, is not finite")
 
     def times(self) -> list[float]:
         if self.times_ms is not None:
@@ -160,11 +174,13 @@ class ItemTrace(NamedTuple):
 
 
 class _StageRuntime:
-    """Queue plus k-server service state for one stage."""
+    """Queue plus k-server service state for the `index`-th stage of the chain."""
 
-    def __init__(self, spec: StageSpec, instance: "PipelineInstance"):
+    def __init__(self, spec: StageSpec, instance: "PipelineInstance", index: int):
         self.spec = spec
         self.instance = instance
+        self.index = index
+        self.stride = len(instance.spec.stages)
         self.clock = instance.broker.clock
         self.cold_starts = spec.kind == "serverless_function" and spec.cold_start_ms > 0
         self.queue: deque[tuple[int, bytes, float]] = deque()
@@ -196,19 +212,21 @@ class _StageRuntime:
                 )
                 if idle is None or idle >= self.spec.cold_idle_threshold_ms:
                     duration += self.spec.cold_start_ms
-            clock.call_at(start + duration, self._finish, item_id, payload, enqueue_ms, start)
+            end = start + duration
+            if not end < math.inf:
+                raise RuntimeError(f"stage {self.spec.name!r}: a service of {duration} ms "
+                                   f"starting at {start} ms ends past the largest finite time")
+            clock.call_at(end, self._finish, item_id, payload, enqueue_ms, start)
 
     def _finish(self, item_id: int, payload: bytes, enqueue_ms: float, start_ms: float) -> None:
         end = self.clock.now
         self.busy -= 1
         self.last_service_end = end
-        self.instance.records.append(
-            StageRecord(item_id, self.spec.name, enqueue_ms, start_ms, end)
+        self.instance.records[item_id * self.stride + self.index] = StageRecord(
+            item_id, self.spec.name, enqueue_ms, start_ms, end
         )
         if self.spec.output_topic is not None:
             self.instance.broker.publish(self.spec.node, self.spec.output_topic, payload)
-        else:
-            self.instance.completions[item_id] = end
         self._try_start()
 
 
@@ -216,20 +234,21 @@ class PipelineInstance:
     """A pipeline wired onto a broker: one subscription and one queue per stage.
 
     For the length of a run, `run_pipeline` sets the service times' `units`
-    (`unit_doubles` of the seeded generator) and maps the payload it packs for
+    (`unit_doubles` of the seeded generator), maps the payload it packs for
     each arriving item to its item id, so a stage reads the id without decoding
-    the payload.
+    the payload, and sizes `records` to one slot per item and stage: stage s
+    files item i's record at `i * len(stages) + s`, so the list ends in
+    stages.csv row order and an item's last slot holds its completion.
     """
 
     units: Iterator[float]
     item_ids: dict[bytes, int]
-    records: list[StageRecord]
-    completions: dict[int, float]
+    records: list[StageRecord | None]
 
     def __init__(self, spec: PipelineSpec, broker: SimBroker):
         self.spec = spec
         self.broker = broker
-        self.stages = [_StageRuntime(s, self) for s in spec.stages]
+        self.stages = [_StageRuntime(s, self, i) for i, s in enumerate(spec.stages)]
         for stage in self.stages:
             broker.subscribe(stage.spec.node, stage.spec.input_topic, stage.on_message)
 
@@ -239,10 +258,7 @@ def build_pipeline(spec: PipelineSpec, broker: SimBroker) -> PipelineInstance:
 
 
 def run_pipeline(
-    instance: PipelineInstance,
-    arrivals: ArrivalSchedule,
-    seed: int = 0,
-    source_node: str = "edge:source",
+    instance: PipelineInstance, arrivals: ArrivalSchedule, seed: int = 0
 ) -> tuple[list[ItemTrace], list[StageRecord]]:
     """Inject the arrival schedule, drive every item to completion, and return the traces.
 
@@ -253,12 +269,14 @@ def run_pipeline(
     """
     broker = instance.broker
     clock = broker.clock
-    instance.units = unit_doubles(np.random.default_rng(seed))
-    instance.item_ids, instance.records, instance.completions = {}, [], {}
-    validate_node_id(source_node)
     times = arrivals.times()
     if times[0] < clock.now:
         raise ValueError(f"cannot schedule at {times[0]} ms: time is already {clock.now} ms")
+    stride = len(instance.stages)
+    records = [None] * (len(times) * stride)
+    terminal = range(stride - 1, len(records), stride)  # each item's last slot
+    instance.units = unit_doubles(np.random.default_rng(seed))
+    instance.item_ids, instance.records = {}, records
     topic, first = instance.spec.source_topic, clock.reserve(len(times))
 
     def arrive(item_id: int) -> None:
@@ -266,16 +284,14 @@ def run_pipeline(
             clock.push(times[item_id + 1], first + item_id + 1, arrive, item_id + 1)
         payload = wire.pack({"item_id": item_id})
         instance.item_ids[payload] = item_id
-        broker.publish(source_node, topic, payload)
+        broker.publish(SOURCE_NODE, topic, payload)
 
     clock.push(times[0], first, arrive, 0)
-    broker.drive(lambda: [f"item {i}" for i in range(len(times)) if i not in instance.completions])
-    completions, records = instance.completions, instance.records
-    traces = [ItemTrace(i, t, completions[i], completions[i] - t) for i, t in enumerate(times)]
-    order = {s.name: i for i, s in enumerate(instance.spec.stages)}
-    records.sort(key=lambda r: (r.item_id, order[r.stage]))
+    broker.drive(lambda: [f"item {i}" for i, s in enumerate(terminal) if records[s] is None])
+    traces = [ItemTrace(i, t, records[s].end_ms, records[s].end_ms - t)
+              for i, (t, s) in enumerate(zip(times, terminal))]
     # drop the run's per-item state, so the caller formats its CSVs without it in memory
-    instance.item_ids, instance.records, instance.completions = {}, [], {}
+    instance.item_ids, instance.records = {}, []
     return traces, records
 
 

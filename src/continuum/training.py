@@ -28,6 +28,7 @@ and the TCP and sim buses give the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,9 @@ class TrainJob:
         nn.check_output_layer(self.layer_sizes, self.dataset.num_classes)
 
 
-@dataclass
-class EpochMetrics:
+class EpochMetrics(NamedTuple):
+    """One epoch's scores; fields in epochs.csv column order."""
+
     epoch: int
     loss: float
     accuracy: float
@@ -192,9 +194,10 @@ class _Coordinator:
             raise RuntimeError(
                 f"{env.sender}: second gradient for worker {worker_id} in epoch {self.epoch}"
             )
-        if sample_count < 1:
+        if type(sample_count) is not int or sample_count < 1:
             raise RuntimeError(
-                f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count} < 1"
+                f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count!r}"
+                + (" < 1" if type(sample_count) is int else ", not an int")
             )
         if mismatch := nn.vector_mismatch(msg["grads"], self.model.param_count):
             raise RuntimeError(f"{env.sender}: gradient of worker {worker_id} has grads {mismatch}")

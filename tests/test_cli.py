@@ -113,10 +113,12 @@ def test_unknown_fl_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
-def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
+def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None, input_topic=None) -> dict:
     doc = small_sdp_doc()
     if stage_name is not None:
         doc["stages"][0]["name"] = stage_name
+    if input_topic is not None:  # of the last stage
+        doc["stages"][-1]["input_topic"] = input_topic
     if arrivals is not None:
         doc["arrivals"] = {"times_ms": arrivals}
     if uniform is not None:
@@ -138,6 +140,9 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
         ("sdp-sim", _sdp_doc_with(arrivals=[-5, 0]), "arrivals.times_ms[0]"),
         ("sdp-sim", _sdp_doc_with(arrivals=[0, True, 5]), "arrivals.times_ms[1]"),
         ("sdp-sim", _sdp_doc_with(stage_name=""), "stages[0].name"),
+        ("sdp-sim", _sdp_doc_with(input_topic="s/#"), "stages"),
+        ("sdp-sim", dict(small_sdp_doc(), arrivals={"count": 3, "interval_ms": 1e308}),
+         "arrivals"),
         ("dist-train", dict(small_dist_doc(), dataset={"synth": {
             "n": 3, "d": 6, "classes": 4, "separation": 3.0, "seed": 5}}), "dataset.synth.n"),
         ("fl-run", small_fl_doc("async", interval_ms=0), "interval_ms"),
@@ -155,7 +160,8 @@ def _sdp_doc_with(arrivals=None, uniform=None, stage_name=None) -> dict:
     ],
     ids=["dist-lr-0", "dist-lr-huge-int", "dist-swish", "fl-swish", "sdp-uniform-reversed",
          "sdp-time-string", "sdp-times-not-array", "sdp-time-negative", "sdp-time-bool",
-         "sdp-stage-name-empty", "dist-synth-n-under-classes",
+         "sdp-stage-name-empty", "sdp-stage-hears-the-source", "sdp-last-arrival-overflows",
+         "dist-synth-n-under-classes",
          "fl-async-interval-0", "fl-straggler-p-over-1", "fl-delay-reversed",
          "fl-straggler-p-nan", "fl-lr-nan", "fl-interval-infinite", "sdp-times-with-count",
          "csv-has-header-string"],
@@ -419,6 +425,17 @@ def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch
     config = write_config(tmp_path / "c.json", small_sdp_doc())
     assert main(["sdp-sim", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "runtime error: MemoryError\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_service_time_past_the_largest_finite_time_exits_1_naming_the_stage(tmp_path, capsys):
+    doc = json.loads((BUNDLED / "iiot_surveillance.json").read_text())
+    doc["stages"][3]["service_ms"] = 1e308
+    config = write_config(tmp_path / "c.json", doc)
+    assert main(["sdp-sim", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: stage 'extract_objects': ")
+    assert err.endswith(" ends past the largest finite time\n")
     assert not (tmp_path / "out").exists()
 
 

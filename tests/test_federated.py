@@ -403,6 +403,12 @@ PARAMS = nn.serialize_params(nn.init_model((6, 5, 3), "sigmoid", 0))  # small_co
         ("fog:rogue", 99, 0, PARAMS, 10, r"^fog:rogue: update names unknown client_id 99$"),
         ("fog:client-0", 0, 0, PARAMS, 0,
          r"^fog:client-0: update of client 0 has sample_count 0 < 1$"),
+        ("fog:client-0", 0, 0, PARAMS, "x",
+         r"^fog:client-0: update of client 0 has sample_count 'x', not an int$"),
+        ("fog:client-0", 0, 0, PARAMS, 1.5,
+         r"^fog:client-0: update of client 0 has sample_count 1\.5, not an int$"),
+        ("fog:client-0", 0, 0, PARAMS, True,
+         r"^fog:client-0: update of client 0 has sample_count True, not an int$"),
         ("fog:rogue", 0, 0, PARAMS, 10,
          r"^fog:rogue: update names client 0, which only fog:client-0 may send$"),
         ("fog:client-0", 0, 5, PARAMS, 10,
@@ -416,7 +422,8 @@ PARAMS = nn.serialize_params(nn.init_model((6, 5, 3), "sigmoid", 0))  # small_co
          r"^fog:client-0: update of client 0 has params of dtype int64 and shape \(53,\), "
          r"not float64 of shape \(53,\)$"),
     ],
-    ids=["unknown-client", "zero-samples", "impostor", "future-round", "negative-round",
+    ids=["unknown-client", "zero-samples", "string-samples", "fractional-samples",
+         "bool-samples", "impostor", "future-round", "negative-round",
          "short-params", "int64-params"],
 )
 def test_server_rejects_a_stray_update_naming_its_sender(

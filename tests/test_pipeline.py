@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from continuum import wire
 from continuum.bus import LinkLatency, SimBroker
 from continuum.pipeline import (
+    SOURCE_NODE,
     ArrivalSchedule,
     Constant,
     PipelineSpec,
@@ -115,6 +116,24 @@ def test_terminal_stage_must_not_publish():
         PipelineSpec(name="p", source_topic="p/0", stages=stages)
 
 
+@pytest.mark.parametrize(
+    "stages, stage, topic",
+    [
+        ((("a", "p/src", "p/a"), ("b", "p/a", "p/b"), ("c", "p/#", None)), "c", "p/src"),
+        ((("a", "p/+", "p/a"), ("b", "p/a", None)), "a", "p/a"),
+        ((("a", "p/src", "p/a"), ("b", "p/a", "p/a"), ("c", "p/a", None)), "b", "p/a"),
+    ],
+    ids=["hears-every-topic", "hears-its-own-output", "republishes-its-input"],
+)
+def test_stage_that_hears_a_topic_besides_its_upstreams_is_rejected(stages, stage, topic):
+    # each such stage would see every item more than once, or loop on its own output
+    specs = tuple(StageSpec(name, f"fog:{name}", src, out, Constant(1.0))
+                  for name, src, out in stages)
+    with pytest.raises(ValueError, match=rf"^stage '{stage}' would see each item more than "
+                                         rf"once: its input '.*' also matches '{topic}'$"):
+        PipelineSpec(name="p", source_topic="p/src", stages=specs)
+
+
 def test_duplicate_stage_names_rejected():
     stages = (
         StageSpec("dup", "fog:a", "p/0", "p/1", Constant(1.0)),
@@ -132,6 +151,13 @@ def test_arrival_schedule_validation():
     with pytest.raises(ValueError):
         ArrivalSchedule(times_ms=(3.0, 3.0))
     assert ArrivalSchedule(times_ms=(0.0, 2.5, 7.0)).times() == [0.0, 2.5, 7.0]
+
+
+@pytest.mark.parametrize("count, interval_ms", [(3, 1e308), (10**400, 1.0)],
+                         ids=["overflowing-time", "count-beyond-float-range"])
+def test_arrival_schedule_whose_last_time_is_not_finite_is_rejected(count, interval_ms):
+    with pytest.raises(ValueError, match=r"^the last arrival time, .* is not finite$"):
+        ArrivalSchedule(count=count, interval_ms=interval_ms)
 
 
 # --- simulated runs ---
@@ -186,6 +212,32 @@ def test_uniform_services_equal_scalar_rng_uniform():
     assert drawn == scalar
 
 
+def test_service_that_ends_past_the_largest_finite_time_fails_naming_the_stage():
+    # item 0 ends at 1e308 ms; item 1 starts there and would end at inf
+    with pytest.raises(RuntimeError, match=r"^stage 's1': a service of 1e\+308 ms starting at "
+                                           r"1e\+308 ms ends past the largest finite time$"):
+        run_chain(chain_spec([1.0, 1e308]), ArrivalSchedule(count=2, interval_ms=1.0))
+
+
+def test_records_are_filed_in_item_then_stage_order():
+    # a two-server stage of uniform service lets later items overtake earlier ones
+    spec = PipelineSpec(
+        name="o",
+        source_topic="o/0",
+        stages=(
+            StageSpec("wide", "fog:n0", "o/0", "o/1", Uniform(10.0, 900.0), servers=2),
+            StageSpec("last", "fog:n1", "o/1", None, Constant(1.0), servers=2),
+        ),
+    )
+    traces, records = run_chain(spec, ArrivalSchedule(count=40, interval_ms=50.0), seed=5)
+    assert [(r.item_id, r.stage) for r in records] == [
+        (i, s) for i in range(40) for s in ("wide", "last")
+    ]
+    completions = [t.completion_ms for t in traces]
+    assert completions != sorted(completions)  # some item did overtake
+    assert completions == [r.end_ms for r in records[1::2]]
+
+
 def test_no_items_lost():
     traces, records = run_chain(
         chain_spec([700.0, 300.0]), ArrivalSchedule(count=17, interval_ms=100.0)
@@ -203,7 +255,7 @@ class SourceDroppingBroker(SimBroker):
         self.lost_item = lost_item
 
     def publish(self, sender, topic, payload):
-        if sender == "edge:source" and wire.unpack(payload)["item_id"] == self.lost_item:
+        if sender == SOURCE_NODE and wire.unpack(payload)["item_id"] == self.lost_item:
             return 0
         return super().publish(sender, topic, payload)
 

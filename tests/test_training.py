@@ -248,6 +248,12 @@ def test_stall_names_the_workers_that_did_not_report():
          r"^fog:worker-0: second gradient for worker 0 in epoch 1$"),
         ("fog:worker-0", 0, 0, 1, [0.5] * 60, 0,
          r"^fog:worker-0: gradient of worker 0 has sample_count 0 < 1$"),
+        ("fog:worker-0", 0, "x", 1, [0.5] * 60, 0,
+         r"^fog:worker-0: gradient of worker 0 has sample_count 'x', not an int$"),
+        ("fog:worker-0", 0, 1.5, 1, [0.5] * 60, 0,
+         r"^fog:worker-0: gradient of worker 0 has sample_count 1\.5, not an int$"),
+        ("fog:worker-0", 0, True, 1, [0.5] * 60, 0,
+         r"^fog:worker-0: gradient of worker 0 has sample_count True, not an int$"),
         ("fog:rogue", 0, 40, 1, [0.5] * 60, 0,
          r"^fog:rogue: gradient names worker 0, which only fog:worker-0 may send$"),
         ("fog:worker-0", 0, 40, 1, [0.5] * 59, 0,
@@ -267,7 +273,8 @@ def test_stall_names_the_workers_that_did_not_report():
         ("fog:worker-0", 0, 40, 1, [0.5] * 60, 1.0,
          r"^fog:worker-0: gradient of worker 0 has correct 1\.0, not an int in \[0, 60\]$"),
     ],
-    ids=["unknown-worker", "duplicate", "zero-samples", "impostor", "short-picked",
+    ids=["unknown-worker", "duplicate", "zero-samples", "string-samples", "fractional-samples",
+         "bool-samples", "impostor", "short-picked",
          "2-d-picked", "picked-nan", "picked-above-one", "picked-negative", "correct-above-shard-rows",
          "correct-not-int"],
 )
