@@ -12,6 +12,7 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -19,7 +20,9 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__, federated
 from .bus import Bus, SimBroker
@@ -53,18 +56,20 @@ _TRIM_THRESHOLD_BYTES = 16 << 20
 _CSV_CHUNK_ROWS = 1024
 
 
-def _csv(record: type, row_format: str, rows: Sequence[tuple]) -> bytes:
-    """One CSV file of `record` NamedTuples, headed by the type's fields: `row_format`
-    is a %-format of one line, such as "%d,%.17g\\n".
+def _csv(record: type, row_format: str, rows: Iterable[tuple]) -> bytes:
+    """One CSV file of `record`'s rows, headed by the NamedTuple's fields: `rows` are
+    tuples in field order, and `row_format` is a %-format of one line, such as
+    "%d,%.17g\\n".
 
     Chunks go into one growing buffer, whose bytes `getvalue` hands back without
     a copy, so the file is never held twice.
     """
     line = row_format.__mod__
+    rows = iter(rows)
     out = io.BytesIO()
     out.write((",".join(record._fields) + "\n").encode("utf-8"))
-    for i in range(0, len(rows), _CSV_CHUNK_ROWS):
-        out.write("".join(map(line, rows[i:i + _CSV_CHUNK_ROWS])).encode("utf-8"))
+    while chunk := "".join(map(line, itertools.islice(rows, _CSV_CHUNK_ROWS))):
+        out.write(chunk.encode("utf-8"))
     return out.getvalue()
 
 
@@ -137,8 +142,8 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
         instance = build_pipeline(exp.pipeline, broker)
         traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
     stats = pipeline_stats(traces, records)
-    items = _csv(ItemTrace, "%d,%.17g,%.17g,%.17g\n", traces)
-    stages = _csv(StageRecord, "%d,%s,%.17g,%.17g,%.17g\n", records)
+    items = _csv(ItemTrace, "%d,%.17g,%.17g,%.17g\n", traces.rows())
+    stages = _csv(StageRecord, "%d,%s,%.17g,%.17g,%.17g\n", records.rows())
     summary = (
         f"{len(traces)} items completed; mean sojourn {stats.mean_sojourn_ms:.1f} ms, "
         f"max {stats.max_sojourn_ms:.1f} ms"
@@ -198,6 +203,15 @@ _KINDS = {
                    "run coordinator/worker data-parallel training"),
     "fl-run": (parse_fl, _execute_fl, "run a federated learning experiment"),
 }
+
+
+def _execute(kind: str, exp: SdpExperiment | DistTrainExperiment | FlExperiment,
+             backend: str, port: int):
+    """Run one experiment, with numpy's overflow, division by zero and invalid
+    operations raised as FloatingPointError instead of printed as warnings, so a
+    non-finite number ends the run; underflow stays silent."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return _KINDS[kind][1](exp, backend, port)
 
 
 def _write_outputs(
@@ -262,7 +276,7 @@ def _run_experiment(kind: str, args) -> int:
     t0 = time.perf_counter()
     log.info("running %s from %s on the %s bus", kind, config_path, args.bus)
     try:
-        files, summary = _KINDS[kind][1](exp, args.bus, args.bus_port)
+        files, summary = _execute(kind, exp, args.bus, args.bus_port)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -337,7 +351,7 @@ def _replay_check(args) -> int:
     if bus != "sim":
         print(f"the run used the {bus} bus; replaying it on the sim bus")
     try:
-        files, _summary = _KINDS[kind][1](exp, "sim", 0)
+        files, _summary = _execute(kind, exp, "sim", 0)
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: replay failed: {_describe(exc)}", file=sys.stderr)
         return EXIT_RUNTIME

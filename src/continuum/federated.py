@@ -11,13 +11,14 @@ identical numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import nn, wire
-from .bus import Bus, Envelope, SimBroker
+from .bus import Awaiting, Bus, Envelope, SimBroker
 from .data import Dataset, Part, next_round_batch, partition
 
 SERVER_NODE = "cloud:server"
@@ -192,16 +193,18 @@ class _Server:
         self.pending: dict[int, ClientUpdate] = {}
         self.rows: list[RoundMetrics] = []
         self.done = False
-        self._record()  # round 0: the untrained global model
+        self._record(0)  # the untrained global model
         broker.subscribe(SERVER_NODE, UPDATE_TOPIC, self.on_update)
 
-    def _record(self) -> None:
+    def _record(self, round_index: int) -> None:
         model = nn.deserialize_params(
             self.config.layer_sizes, self.config.hidden_activation, self.params
         )
         result = nn.evaluate(model, self.test.features, self.test.labels)
+        if not math.isfinite(result.mean_loss):
+            raise FloatingPointError(f"the test loss is {result.mean_loss}")
         self.rows.append(
-            RoundMetrics(self.round_index, result.accuracy, result.mean_loss, self.contributors)
+            RoundMetrics(round_index, result.accuracy, result.mean_loss, self.contributors)
         )
 
     def broadcast(self) -> None:
@@ -244,14 +247,25 @@ class _Server:
         if eligible:  # an empty async interval keeps the params; the round still advances
             self.params = fedavg(eligible)
         self.contributors = len(eligible)
+        self._record(self.round_index + 1)
         self.round_index += 1
-        self._record()
         if self.round_index < self.config.rounds:
             self.broadcast()
         else:
             self.done = True
 
-    def result(self) -> FlRunResult:
+    def drive(self, awaiting: Awaiting) -> FlRunResult:
+        """Drive the run to its end and return its result.
+
+        A FloatingPointError (numpy's, where the caller set np.errstate to raise, or
+        a non-finite test loss) becomes a RuntimeError naming the round in progress
+        and the learning rate.
+        """
+        try:
+            self.broker.drive(awaiting)
+        except FloatingPointError as exc:
+            raise RuntimeError(f"round {self.round_index + 1} with lr "
+                               f"{self.config.learning_rate!r}: {exc}") from exc
         return FlRunResult(GlobalModel(self.round_index, self.params), self.rows)
 
 
@@ -324,8 +338,7 @@ def run_sync(config: FlConfig, broker: Bus, dataset: Dataset) -> FlRunResult:
     server = _SyncServer(config, broker, test)
     clients = [_SyncClient(k, config, broker, parts[k]) for k in range(config.num_clients)]
     server.broadcast()
-    broker.drive(server.awaiting)
-    return server.result()
+    return server.drive(server.awaiting)
 
 
 def run_async(
@@ -366,8 +379,7 @@ def run_async(
         for k, client in enumerate(clients):
             broker.call_at(r * interval, fire, client, rngs[k], r)
         broker.call_at((r + 0.5) * interval, server.aggregate)
-    broker.drive(lambda: [] if server.done else [SERVER_NODE])
-    return server.result()
+    return server.drive(lambda: [] if server.done else [SERVER_NODE])
 
 
 def fl_metrics(result: FlRunResult) -> list[RoundMetrics]:

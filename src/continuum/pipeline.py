@@ -9,10 +9,14 @@ the correctness oracle for the whole engine.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -173,6 +177,63 @@ class ItemTrace(NamedTuple):
     sojourn_ms: float  # completion_ms - arrival_ms
 
 
+class _Rows(Sequence):
+    """A finished run's records, read-only and kept as flat columns: each record is
+    built as its NamedTuple only when read. A subclass gives `__len__`, `_row(k)`,
+    the k-th record, and `rows()`, every row as a plain tuple in field order."""
+
+    record: type
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # an index in range, or a range for a slice
+        return [self._row(j) for j in k] if isinstance(k, range) else self._row(k)
+
+    def __iter__(self):
+        return itertools.starmap(self.record, self.rows())
+
+
+class ItemTraces(_Rows):
+    """Item i arrived at `arrival_ms[i]` and completed at `completion_ms[i]`."""
+
+    record = ItemTrace
+
+    def __init__(self, arrival_ms: array, completion_ms: array):
+        self.arrival_ms, self.completion_ms = arrival_ms, completion_ms
+
+    def __len__(self) -> int:
+        return len(self.arrival_ms)
+
+    def _row(self, i: int) -> ItemTrace:
+        t, done = self.arrival_ms[i], self.completion_ms[i]
+        return ItemTrace(i, t, done, done - t)
+
+    def rows(self) -> Iterator[tuple]:
+        return zip(itertools.count(), self.arrival_ms, self.completion_ms,
+                   map(operator.sub, self.completion_ms, self.arrival_ms))
+
+
+class StageRecords(_Rows):
+    """Item i's pass through stage s, in the columns' slot `i * len(stages) + s`."""
+
+    record = StageRecord
+
+    def __init__(self, stages: tuple[str, ...], enqueue_ms: array, start_ms: array, end_ms: array):
+        self.stages = stages
+        self.enqueue_ms, self.start_ms, self.end_ms = enqueue_ms, start_ms, end_ms
+
+    def __len__(self) -> int:
+        return len(self.end_ms)
+
+    def _row(self, k: int) -> StageRecord:
+        i, s = divmod(k, len(self.stages))
+        return StageRecord(i, self.stages[s], self.enqueue_ms[k], self.start_ms[k], self.end_ms[k])
+
+    def rows(self) -> Iterator[tuple]:
+        items = (i for i in range(len(self) // len(self.stages)) for _ in self.stages)
+        return zip(items, itertools.cycle(self.stages), self.enqueue_ms, self.start_ms,
+                   self.end_ms)
+
+
 class _StageRuntime:
     """Queue plus k-server service state for the `index`-th stage of the chain."""
 
@@ -183,24 +244,32 @@ class _StageRuntime:
         self.stride = len(instance.spec.stages)
         self.clock = instance.broker.clock
         self.cold_starts = spec.kind == "serverless_function" and spec.cold_start_ms > 0
-        self.queue: deque[tuple[int, bytes, float]] = deque()
+        self.queue: deque[tuple[int, bytes]] = deque()
         self.busy = 0
         self.last_service_end: float | None = None
 
     def on_message(self, env) -> None:
-        item_id = self.instance.item_ids.get(env.payload)
+        instance = self.instance
+        item_id = instance.item_ids.get(env.payload)
         if item_id is None:
             raise RuntimeError(
                 f"stage {self.spec.name!r} received a payload that is not one of this run's "
                 f"items on topic {env.topic!r} from {env.sender!r}"
             )
-        self.queue.append((item_id, env.payload, self.clock.now))
+        slot = item_id * self.stride + self.index
+        if not math.isnan(instance.enqueue_ms[slot]):
+            raise RuntimeError(
+                f"stage {self.spec.name!r} received item {item_id} a second time "
+                f"on topic {env.topic!r} from {env.sender!r}"
+            )
+        instance.enqueue_ms[slot] = self.clock.now
+        self.queue.append((item_id, env.payload))
         self._try_start()
 
     def _try_start(self) -> None:
         clock = self.clock
         while self.busy < self.spec.servers and self.queue:
-            item_id, payload, enqueue_ms = self.queue.popleft()
+            item_id, payload = self.queue.popleft()
             self.busy += 1
             start = clock.now
             duration = self.spec.service.draw(self.instance.units)
@@ -216,17 +285,20 @@ class _StageRuntime:
             if not end < math.inf:
                 raise RuntimeError(f"stage {self.spec.name!r}: a service of {duration} ms "
                                    f"starting at {start} ms ends past the largest finite time")
-            clock.call_at(end, self._finish, item_id, payload, enqueue_ms, start)
+            clock.call_at(end, self._finish, item_id, payload, start)
 
-    def _finish(self, item_id: int, payload: bytes, enqueue_ms: float, start_ms: float) -> None:
+    def _finish(self, item_id: int, payload: bytes, start_ms: float) -> None:
+        instance = self.instance
         end = self.clock.now
         self.busy -= 1
         self.last_service_end = end
-        self.instance.records[item_id * self.stride + self.index] = StageRecord(
-            item_id, self.spec.name, enqueue_ms, start_ms, end
-        )
+        slot = item_id * self.stride + self.index
+        instance.start_ms[slot] = start_ms
+        instance.end_ms[slot] = end
         if self.spec.output_topic is not None:
-            self.instance.broker.publish(self.spec.node, self.spec.output_topic, payload)
+            instance.broker.publish(self.spec.node, self.spec.output_topic, payload)
+        else:  # the item is complete, and the map holds items in flight only
+            del instance.item_ids[payload]
         self._try_start()
 
 
@@ -235,15 +307,19 @@ class PipelineInstance:
 
     For the length of a run, `run_pipeline` sets the service times' `units`
     (`unit_doubles` of the seeded generator), maps the payload it packs for
-    each arriving item to its item id, so a stage reads the id without decoding
-    the payload, and sizes `records` to one slot per item and stage: stage s
-    files item i's record at `i * len(stages) + s`, so the list ends in
-    stages.csv row order and an item's last slot holds its completion.
+    each item in flight to its item id, so a stage reads the id without
+    decoding the payload, and sizes three NaN-filled columns to one slot per
+    item and stage: stage s files item i's enqueue, start and end times at
+    slot `i * len(stages) + s`, so the columns are in stages.csv row order and
+    an item's last slot holds its completion. A set enqueue slot marks an item
+    the stage has already received.
     """
 
     units: Iterator[float]
     item_ids: dict[bytes, int]
-    records: list[StageRecord | None]
+    enqueue_ms: array
+    start_ms: array
+    end_ms: array
 
     def __init__(self, spec: PipelineSpec, broker: SimBroker):
         self.spec = spec
@@ -259,7 +335,7 @@ def build_pipeline(spec: PipelineSpec, broker: SimBroker) -> PipelineInstance:
 
 def run_pipeline(
     instance: PipelineInstance, arrivals: ArrivalSchedule, seed: int = 0
-) -> tuple[list[ItemTrace], list[StageRecord]]:
+) -> tuple[ItemTraces, StageRecords]:
     """Inject the arrival schedule, drive every item to completion, and return the traces.
 
     Arrivals are scheduled one ahead (each arrival event schedules the next), so
@@ -269,14 +345,14 @@ def run_pipeline(
     """
     broker = instance.broker
     clock = broker.clock
-    times = arrivals.times()
+    times = array("d", arrivals.times())
     if times[0] < clock.now:
         raise ValueError(f"cannot schedule at {times[0]} ms: time is already {clock.now} ms")
     stride = len(instance.stages)
-    records = [None] * (len(times) * stride)
-    terminal = range(stride - 1, len(records), stride)  # each item's last slot
+    blank = array("d", [math.nan]) * (len(times) * stride)
+    instance.enqueue_ms, instance.start_ms, instance.end_ms = blank, blank[:], blank[:]
     instance.units = unit_doubles(np.random.default_rng(seed))
-    instance.item_ids, instance.records = {}, records
+    instance.item_ids = {}
     topic, first = instance.spec.source_topic, clock.reserve(len(times))
 
     def arrive(item_id: int) -> None:
@@ -287,12 +363,14 @@ def run_pipeline(
         broker.publish(SOURCE_NODE, topic, payload)
 
     clock.push(times[0], first, arrive, 0)
-    broker.drive(lambda: [f"item {i}" for i, s in enumerate(terminal) if records[s] is None])
-    traces = [ItemTrace(i, t, records[s].end_ms, records[s].end_ms - t)
-              for i, (t, s) in enumerate(zip(times, terminal))]
-    # drop the run's per-item state, so the caller formats its CSVs without it in memory
-    instance.item_ids, instance.records = {}, []
-    return traces, records
+    broker.drive(lambda: [f"item {i}" for i, t in enumerate(instance.end_ms[stride - 1::stride])
+                          if math.isnan(t)])
+    completion = instance.end_ms[stride - 1::stride]
+    records = StageRecords(tuple(s.name for s in instance.spec.stages),
+                           instance.enqueue_ms, instance.start_ms, instance.end_ms)
+    # the columns now belong to the returned views; the instance keeps no per-item state
+    del instance.item_ids, instance.enqueue_ms, instance.start_ms, instance.end_ms
+    return ItemTraces(times, completion), records
 
 
 def tandem_oracle(
@@ -322,20 +400,21 @@ class PipelineStats:
     per_stage_utilization: dict[str, float] = field(hash=False, default_factory=dict)
 
 
-def pipeline_stats(traces: list[ItemTrace], records: list[StageRecord]) -> PipelineStats:
+def pipeline_stats(traces: ItemTraces, records: StageRecords) -> PipelineStats:
     """Sojourn summaries plus per-stage busy-time / makespan utilization."""
     if not traces:
         raise ValueError("no item traces to summarize")
-    sojourns = tuple(t.sojourn_ms for t in traces)
-    makespan = max(r.end_ms for r in records) - min(t.arrival_ms for t in traces)
-    busy: dict[str, float] = {}
-    for r in records:
-        busy[r.stage] = busy.get(r.stage, 0.0) + (r.end_ms - r.start_ms)
-    utilization = {
-        stage: (b / makespan if makespan > 0 else 0.0) for stage, b in busy.items()
-    }
+    sojourns = np.frombuffer(traces.completion_ms) - np.frombuffer(traces.arrival_ms)
+    makespan = max(records.end_ms) - min(traces.arrival_ms)
+    per_item = len(records.stages)
+    utilization = {}
+    for s, stage in enumerate(records.stages):
+        busy = 0.0  # summed in item order
+        for start, end in zip(records.start_ms[s::per_item], records.end_ms[s::per_item]):
+            busy += end - start
+        utilization[stage] = busy / makespan if makespan > 0 else 0.0
     return PipelineStats(
         mean_sojourn_ms=float(np.mean(sojourns)),
-        max_sojourn_ms=float(max(sojourns)),
+        max_sojourn_ms=float(sojourns.max()),
         per_stage_utilization=utilization,
     )

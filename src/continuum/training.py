@@ -27,6 +27,7 @@ and the TCP and sim buses give the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,18 +229,22 @@ class _Coordinator:
         gathered = list(self.pending.values())
         self.pending.clear()
         if self.rows_from_workers and self.epoch > 1:  # taken at the model of the epoch before
-            result = nn.EvalResult.from_terms(self.picked, self.correct)
-            self.metrics.append(EpochMetrics(self.epoch - 1, result.mean_loss, result.accuracy))
+            self._record(self.epoch - 1, nn.EvalResult.from_terms(self.picked, self.correct))
         self.correct = 0
         self.model = aggregate_and_step(self.model, gathered, self.job.learning_rate)
         if not self.rows_from_workers or self.epoch == self.job.epochs:
-            result = nn.evaluate(self.model, self.job.dataset.features, self.job.dataset.labels)
-            self.metrics.append(EpochMetrics(self.epoch, result.mean_loss, result.accuracy))
+            self._record(self.epoch, nn.evaluate(self.model, self.job.dataset.features,
+                                                 self.job.dataset.labels))
         if self.epoch < self.job.epochs:
             self.epoch += 1
             self.broadcast(first=False)
         else:
             self.done = True
+
+    def _record(self, epoch: int, result: nn.EvalResult) -> None:
+        if not math.isfinite(result.mean_loss):
+            raise FloatingPointError(f"the loss of epoch {epoch} is {result.mean_loss}")
+        self.metrics.append(EpochMetrics(epoch, result.mean_loss, result.accuracy))
 
 
 @dataclass
@@ -259,7 +264,16 @@ def submit_job(job: TrainJob, broker: Bus) -> JobHandle:
 
 
 def run_training(handle: JobHandle) -> TrainResult:
-    """Drive the submitted job to completion and collect per-epoch metrics."""
+    """Drive the submitted job to completion and collect per-epoch metrics.
+
+    A FloatingPointError (numpy's, where the caller set np.errstate to raise, or a
+    non-finite loss) becomes a RuntimeError naming the epoch and the learning rate.
+    """
     coord = handle.coordinator
-    handle.broker.drive(coord.awaiting)
+    try:
+        handle.broker.drive(coord.awaiting)
+    except FloatingPointError as exc:
+        raise RuntimeError(
+            f"epoch {coord.epoch} with lr {handle.job.learning_rate!r}: {exc}"
+        ) from exc
     return TrainResult(coord.model, coord.metrics)

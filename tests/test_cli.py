@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -436,6 +437,26 @@ def test_service_time_past_the_largest_finite_time_exits_1_naming_the_stage(tmp_
     err = capsys.readouterr().err
     assert err.startswith("runtime error: stage 'extract_objects': ")
     assert err.endswith(" ends past the largest finite time\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, lr, at",
+    [("dist-train", "forestfire_synth", 1e300, "epoch 2"),
+     ("fl-run", "fmcw_synth", 1e308, "round 1"),
+     ("fl-run", "fmcw_synth_async", 1e308, "round 1")],
+    ids=["dist-train", "fl-run-sync", "fl-run-async"],
+)
+def test_non_finite_training_numbers_exit_1_naming_the_epoch_or_round_and_lr(
+    tmp_path, capsys, recwarn, command, config, lr, at
+):
+    doc = json.loads((BUNDLED / f"{config}.json").read_text())
+    doc["lr"] = lr
+    path = write_config(tmp_path / "c.json", doc)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(re.escape(f"runtime error: {at} with lr {lr!r}: ") + r"[^\n]+\n", err), err
+    assert [str(w.message) for w in recwarn] == []  # no numpy RuntimeWarning either
     assert not (tmp_path / "out").exists()
 
 

@@ -193,6 +193,16 @@ def test_sync_stall_names_the_client_whose_update_was_lost():
         federated.run_sync(small_config(), broker, small_dataset())
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_non_finite_test_loss_ends_the_run_naming_the_round_and_lr(mode):
+    config = small_config(mode, learning_rate=1e10)
+    run = federated.run_sync if mode == "sync" else federated.run_async
+    with np.errstate(all="ignore"):  # numpy's overflow goes unreported; the loss is checked
+        with pytest.raises(RuntimeError,
+                           match=r"^round 1 with lr 10000000000.0: the test loss is inf$"):
+            run(config, SimBroker(), small_dataset())
+
+
 def test_split_is_half_and_half():
     dataset = small_dataset(n=240)
     train, test = federated.split_train_test(dataset)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,19 +269,44 @@ def test_stall_names_the_item_that_never_completed():
         run_pipeline(instance, ArrivalSchedule(count=5, interval_ms=100.0))
 
 
+NOT_ONE = "received a payload that is not one of this run's items"
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [wire.pack({"item_id": 99}), wire.pack({"frame": 1})],
-    ids=["unknown-item-id", "no-item-id"],
+    "payload, at_ms, error",
+    [(wire.pack({"item_id": 99}), 50.0, NOT_ONE),
+     (wire.pack({"frame": 1}), 50.0, NOT_ONE),
+     # item 1 is in service at s1 from 200 to 300 ms, then complete
+     (wire.pack({"item_id": 1}), 250.0, "received item 1 a second time"),
+     (wire.pack({"item_id": 1}), 350.0, NOT_ONE)],
+    ids=["unknown-item-id", "no-item-id", "copy-of-an-item-in-flight", "copy-of-a-completed-item"],
 )
-def test_foreign_payload_at_a_stage_fails_naming_stage_topic_and_sender(payload):
+def test_foreign_payload_at_a_stage_fails_naming_stage_topic_and_sender(payload, at_ms, error):
     broker = SimBroker()
     instance = build_pipeline(chain_spec([100.0, 100.0]), broker)
-    broker.call_at(50.0, lambda: broker.publish("edge:intruder", "chain/1", payload))
+    broker.call_at(at_ms, lambda: broker.publish("edge:intruder", "chain/1", payload))
     with pytest.raises(
-        RuntimeError, match=r"^stage 's1' .* on topic 'chain/1' from 'edge:intruder'$"
+        RuntimeError, match=rf"^stage 's1' {error} on topic 'chain/1' from 'edge:intruder'$"
     ):
         run_pipeline(instance, ArrivalSchedule(count=3, interval_ms=100.0))
+
+
+def test_records_cost_a_fixed_few_bytes_per_item_stage():
+    # five 10 ms stages fed every 100 ms: nothing queues, so what grows with the item
+    # count is what the run keeps per item and stage
+    def peak_bytes(count: int) -> int:
+        instance = build_pipeline(chain_spec([10.0] * 5), SimBroker())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_pipeline(instance, ArrivalSchedule(count=count, interval_ms=100.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100)  # warm-up: first-call allocations are not per item
+    growth = peak_bytes(4000) - peak_bytes(2000)
+    assert growth <= 64 * 2000 * 5, f"{growth / (2000 * 5):.0f} B per added item-stage"
 
 
 def test_fifo_and_work_conservation_per_stage():

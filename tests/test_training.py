@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,14 @@ def run_job(job: training.TrainJob) -> tuple[training.TrainResult, list]:
     trace = record(broker)
     handle = training.submit_job(job, broker)
     return training.run_training(handle), trace
+
+
+def test_a_non_finite_loss_ends_the_run_naming_the_epoch_and_lr():
+    job = dataclasses.replace(make_job(3), learning_rate=1e300)
+    with np.errstate(all="ignore"):  # numpy's overflow goes unreported; the loss is checked
+        with pytest.raises(RuntimeError,
+                           match=r"^epoch 2 with lr 1e\+300: the loss of epoch 1 is inf$"):
+            training.run_training(training.submit_job(job, SimBroker()))
 
 
 def test_shard_sizes_for_517_samples_across_3_workers():
