@@ -49,9 +49,11 @@ def stalled(cause: str, missing: Collection[str]) -> RuntimeError:
     return RuntimeError(f"{cause}; still awaiting {sorted(missing)}")
 
 
-def handler_raised(node: str, topic: str) -> RuntimeError:
+class HandlerRaised(RuntimeError):
     """The cause either backend chains to a handler's exception, naming where it raised."""
-    return RuntimeError(f"a handler of {node} raised on topic {topic!r}")
+
+    def __init__(self, node: str, topic: str):
+        super().__init__(f"a handler of {node} raised on topic {topic!r}")
 
 
 def validate_filter(filt: str) -> str:
@@ -167,7 +169,7 @@ class Bus(Protocol):
 
     Handlers run only inside `drive(awaiting, timeout_ms)`, on the thread that
     calls it, one at a time, in arrival order, until `awaiting()` is empty. A
-    raising handler ends the call with its exception, caused by `handler_raised`;
+    raising handler ends the call with its exception, caused by `HandlerRaised`;
     deliveries not yet made wait for the next. A stuck workload (sim: queue
     drained; TCP: `timeout_ms` passed) raises a RuntimeError naming
     `sorted(awaiting())`, and a lost TCP broker a ConnectionError at once. A bus
@@ -301,7 +303,7 @@ class SimBroker:
         try:
             entry[1](env)
         except Exception as exc:
-            raise exc from handler_raised(entry[0], env.topic)
+            raise exc from HandlerRaised(entry[0], env.topic)
 
     def run_until_idle(self) -> float:
         """Process events in (due, seq) order until none remain.

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__, federated
-from .bus import Bus, SimBroker
+from .bus import Bus, HandlerRaised, SimBroker
 from .configs import (
     ConfigError,
     DistTrainExperiment,
@@ -54,6 +54,9 @@ _TRIM_THRESHOLD_BYTES = 16 << 20
 
 # rows formatted and encoded at a time, so no per-row string outlives its chunk
 _CSV_CHUNK_ROWS = 1024
+# zeroed bytes a CSV buffer starts from: above the mmap threshold and any heap top
+# glibc keeps free, so the buffer is a fresh mapping whose untouched pages stay unmapped
+_CSV_RESERVE_BYTES = 4 * _TRIM_THRESHOLD_BYTES
 
 
 def _csv(record: type, row_format: str, rows: Iterable[tuple]) -> bytes:
@@ -61,15 +64,20 @@ def _csv(record: type, row_format: str, rows: Iterable[tuple]) -> bytes:
     tuples in field order, and `row_format` is a %-format of one line, such as
     "%d,%.17g\\n".
 
-    Chunks go into one growing buffer, whose bytes `getvalue` hands back without
-    a copy, so the file is never held twice.
+    Chunks are written over a zeroed reservation, which is then cut to the file's
+    length, and `getvalue` hands the buffer back without a copy. glibc's calloc
+    maps a reservation this large afresh and does not write it, so each page of
+    the file is touched once and the file is never held twice. Grown from empty,
+    the buffer would pass through the heap below the mmap threshold and leave up
+    to 6 MiB of freed heap resident, by an amount that follows the heap's layout.
     """
     line = row_format.__mod__
     rows = iter(rows)
-    out = io.BytesIO()
+    out = io.BytesIO(bytes(_CSV_RESERVE_BYTES))
     out.write((",".join(record._fields) + "\n").encode("utf-8"))
     while chunk := "".join(map(line, itertools.islice(rows, _CSV_CHUNK_ROWS))):
         out.write(chunk.encode("utf-8"))
+    out.truncate()
     return out.getvalue()
 
 
@@ -242,8 +250,13 @@ def _write_outputs(
 
 
 def _describe(exc: BaseException) -> str:
-    """An exception's text, or its type's name where it has none (as `MemoryError()`)."""
-    return str(exc) or type(exc).__name__
+    """An exception's text, or its type's name where it has none (as `MemoryError()`).
+    A handler's exception is led by the node and topic it raised on, and its type."""
+    text = str(exc)
+    if isinstance(exc.__cause__, HandlerRaised):
+        kind = type(exc).__name__
+        return f"{exc.__cause__}: {kind}: {text}" if text else f"{exc.__cause__}: {kind}"
+    return text or type(exc).__name__
 
 
 def _utc_now() -> str:
@@ -382,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--bus", choices=("sim", "tcp"), default="sim",
-                        help="bus backend (tcp forgoes byte-identical replay)")
+                        help="bus backend (a tcp run writes the sim run's CSV bytes, "
+                        "which CI's cmp step and the CLI tests check)")
         sp.add_argument("--bus-port", type=int, default=18883,
                         help="TCP broker port (default: 18883)")
     rc = sub.add_parser("replay-check", help="re-run a manifest and byte-compare outputs")

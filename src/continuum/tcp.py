@@ -14,10 +14,12 @@ of the frame, then (all integers big-endian):
 A payload may be up to MAX_FRAME_BYTES (16 MiB), the same cap as the simulated
 broker; header, topic and sender come on top of it. Payload bytes cross each
 hop as they are (1.0x the payload, where the version-1 JSON frame carried
-base64 text, 1.33x). A reader raises ValueError, which closes only the
-connection that sent the frame, on a declared length over the cap (before it
-reads or allocates the body), a version-1 JSON frame, an unknown version or an
-unknown kind.
+base64 text, 1.33x), and each hop copies them once in user space, on receive:
+a sender writes the payload after its header, and a reader reads it straight
+into its own bytes. A reader raises ValueError, which closes only the
+connection that sent the frame, on a declared length over the cap, a version-1
+JSON frame, an unknown version or an unknown kind, before it reads or allocates
+the names or the payload.
 
 The broker runs one accept thread plus one reader thread per connection. A
 reader routes each frame it reads itself, under one server lock held across
@@ -60,8 +62,8 @@ from .bus import (
     Awaiting,
     Envelope,
     Handler,
+    HandlerRaised,
     RouteTable,
-    handler_raised,
     stalled,
     validate_filter,
     validate_node_id,
@@ -100,26 +102,29 @@ def _send_frame(sock: socket.socket, lock: threading.Lock, frame: Frame) -> None
     if len(topic) > _MAX_NAME_BYTES or len(sender) > _MAX_NAME_BYTES:
         raise ValueError(f"topic and sender must each fit in {_MAX_NAME_BYTES} UTF-8 bytes")
     body_len = _HEADER.size + len(topic) + len(sender) + len(frame.payload)
-    data = b"".join((
+    head = b"".join((
         _LENGTH.pack(body_len),
         _HEADER.pack(FRAME_VERSION, frame.kind, frame.msg_id, len(topic), len(sender)),
         topic,
         sender,
-        frame.payload,
     ))
-    with lock:
-        sock.sendall(data)
+    with lock:  # the payload follows its head as it is, not copied into one buffer with it
+        sock.sendall(head)
+        if frame.payload:
+            sock.sendall(frame.payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    while view:
-        got = sock.recv_into(view)
-        if not got:
+def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    """n bytes read straight into one bytes object, or None at end of stream. A
+    signal or a socket timeout can cut MSG_WAITALL's read short, so it loops."""
+    chunks = []
+    while n:
+        chunk = sock.recv(n, socket.MSG_WAITALL)
+        if not chunk:
             return None
-        view = view[got:]
-    return buf
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)  # returns a lone chunk itself, without a copy
 
 
 def _recv_frame(sock: socket.socket) -> Frame | None:
@@ -132,23 +137,25 @@ def _recv_frame(sock: socket.socket) -> Frame | None:
         raise ValueError(f"incoming frame of {length} bytes exceeds the 16 MiB payload limit")
     if length < _HEADER.size:
         raise ValueError(f"incoming frame of {length} bytes is shorter than its header")
-    body = _recv_exact(sock, length)
-    if body is None:
+    header = _recv_exact(sock, _HEADER.size)
+    if header is None:
         return None
-    version, kind, msg_id, topic_len, sender_len = _HEADER.unpack_from(body)
+    version, kind, msg_id, topic_len, sender_len = _HEADER.unpack(header)
     if version != FRAME_VERSION:
         raise ValueError(f"unsupported frame version {version}")
     if kind not in (PUB, SUB, ACK):
         raise ValueError(f"unknown frame kind {kind}")
-    sender_at = _HEADER.size + topic_len
-    payload_at = sender_at + sender_len
-    if payload_at > length:
+    payload_len = length - _HEADER.size - topic_len - sender_len
+    if payload_len < 0:
         raise ValueError("topic and sender overrun the frame")
-    if length - payload_at > MAX_FRAME_BYTES:
+    if payload_len > MAX_FRAME_BYTES:
         raise ValueError("incoming payload exceeds the 16 MiB limit")
-    view = memoryview(body)
-    return Frame(kind, msg_id, str(view[_HEADER.size:sender_at], "utf-8"),
-                 str(view[sender_at:payload_at], "utf-8"), bytes(view[payload_at:]))
+    names = _recv_exact(sock, topic_len + sender_len)
+    payload = None if names is None else _recv_exact(sock, payload_len)
+    if payload is None:
+        return None
+    return Frame(kind, msg_id, names[:topic_len].decode("utf-8"),
+                 names[topic_len:].decode("utf-8"), payload)
 
 
 class TcpBrokerServer:
@@ -358,7 +365,7 @@ class TcpBus:
             try:
                 entry[1](env)
             except Exception as exc:
-                raise exc from handler_raised(entry[0], env.topic)
+                raise exc from HandlerRaised(entry[0], env.topic)
 
     def close(self) -> None:
         """Shut the socket once any publish or subscribe in flight has its ack."""

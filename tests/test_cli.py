@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import continuum
-from continuum import cli
+from continuum import cli, federated, training
 from continuum.cli import main
 
 BUNDLED = Path(__file__).resolve().parent.parent / "configs"
@@ -429,6 +429,29 @@ def test_runtime_error_without_text_names_its_type(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bus", ["sim", "tcp"])
+@pytest.mark.parametrize(
+    "command, doc, handler, line",
+    [("fl-run", small_fl_doc(), (federated._Client, "on_global"),
+      "a handler of fog:client-0 raised on topic 'fl/global': KeyError: 'round'"),
+     ("dist-train", small_dist_doc(), (training._Worker, "on_message"),
+      "a handler of fog:worker-0 raised on topic 'train/job/worker/0': KeyError: 'round'")],
+    ids=["fl-run-client", "dist-train-worker"],
+)
+def test_a_raising_handler_exits_1_naming_its_node_topic_and_exception(
+    tmp_path, capsys, monkeypatch, command, doc, handler, line, bus
+):
+    def raises(_self, _env):
+        raise KeyError("round")
+
+    monkeypatch.setattr(*handler, raises)
+    config = write_config(tmp_path / "c.json", doc)
+    assert main([command, str(config), "--out", str(tmp_path / "out"), "--bus", bus,
+                 "--bus-port", "0"]) == 1
+    assert capsys.readouterr().err == f"runtime error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_service_time_past_the_largest_finite_time_exits_1_naming_the_stage(tmp_path, capsys):
     doc = json.loads((BUNDLED / "iiot_surveillance.json").read_text())
     doc["stages"][3]["service_ms"] = 1e308
@@ -515,3 +538,45 @@ def test_dist_train_takes_few_page_faults_per_epoch(tmp_path, bus):
         code, faults[epochs] = map(int, done.stdout.split()[-2:])
         assert code == 0, done.stderr
     assert (faults[100] - faults[50]) / 50 < 200, faults
+
+
+@pytest.mark.parametrize("reserve", [None, 64, 1], ids=["reserved", "outgrown", "tiny"])
+@pytest.mark.parametrize("count", [0, 1, 3000])
+def test_csv_bytes_do_not_depend_on_the_reservation(monkeypatch, reserve, count):
+    if reserve is not None:
+        monkeypatch.setattr(cli, "_CSV_RESERVE_BYTES", reserve)
+    rows = [(i, i / 7, -1e300 * i) for i in range(count)]
+    data = cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g\n", rows)
+    assert type(data) is bytes
+    assert data == ("round,test_accuracy,test_loss,contributors\n"
+                    + "".join("%d,%.17g,%.17g\n" % row for row in rows)).encode()
+
+
+# Builds a 7.3 MB CSV from flat columns in a fresh interpreter, after main's malloc
+# settings, and prints its size and how far the resident set rose above where it
+# stood before the call.
+_CSV_RSS_SCRIPT = """
+from array import array
+from continuum import cli, federated
+cli._fix_malloc_thresholds()
+
+def status(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(field))
+
+n = 200_000
+columns = array("d", range(n)), array("d", (i / 7 for i in range(n)))
+before = status("VmRSS:")
+data = cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g,%d\\n", zip(range(n), *columns, range(n)))
+print(len(data), status("VmHWM:") - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the reservation relies on glibc")
+def test_csv_raises_the_resident_set_by_its_size_once():
+    env = dict(os.environ, PYTHONPATH=str(Path(continuum.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _CSV_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    size, rise = map(int, done.stdout.split())
+    assert size > 4 << 20
+    assert rise <= size + (1 << 20), f"{size} B of CSV raised the resident set by {rise} B"

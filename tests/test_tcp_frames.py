@@ -4,6 +4,8 @@ import json
 import socket
 import struct
 import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -75,31 +77,37 @@ def test_names_too_long_for_their_length_field_are_rejected_before_sending():
 
 
 class ScriptedSocket:
-    """Serves fixed bytes to recv_into and records the size of each buffer it is given."""
+    """Serves fixed bytes to recv, at most `piece` at a time, and records each size asked for."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, piece: int | None = None):
         self._data = bytearray(data)
-        self.buffer_sizes = []
+        self._piece = piece or len(self._data)
+        self.sizes = []
 
-    def recv_into(self, buf) -> int:
-        self.buffer_sizes.append(len(buf))
-        n = min(len(buf), len(self._data))
-        buf[:n] = self._data[:n]
-        del self._data[:n]
-        return n
+    def recv(self, n: int, flags: int = 0) -> bytes:
+        self.sizes.append(n)
+        served = bytes(self._data[:min(n, self._piece)])
+        del self._data[:len(served)]
+        return served
+
+
+def _encoded(frame: Frame) -> bytes:
+    sent = []
+    _send_frame(SimpleNamespace(sendall=sent.append), threading.Lock(), frame)
+    return b"".join(sent)
 
 
 def test_declared_length_over_the_cap_is_rejected_before_the_body_is_read():
     sock = ScriptedSocket(struct.pack(">I", _MAX_BODY_BYTES + 1) + b"\x02" * 64)
     with pytest.raises(ValueError, match="exceeds"):
         _recv_frame(sock)
-    assert sock.buffer_sizes == [4]
+    assert sock.sizes == [4]
 
 
 def test_declared_length_at_the_cap_is_read():
     sock = ScriptedSocket(struct.pack(">I", _MAX_BODY_BYTES))
-    assert _recv_frame(sock) is None  # the stream ends inside the body
-    assert sock.buffer_sizes == [4, _MAX_BODY_BYTES]
+    assert _recv_frame(sock) is None  # the stream ends inside the header
+    assert sock.sizes == [4, _HEADER.size]
 
 
 def test_payload_over_the_cap_is_rejected_even_when_the_frame_fits():
@@ -109,6 +117,66 @@ def test_payload_over_the_cap_is_rejected_even_when_the_frame_fits():
     assert length <= _MAX_BODY_BYTES
     with pytest.raises(ValueError, match="payload exceeds"):
         _recv_frame(sock)
+    assert sock.sizes == [4, _HEADER.size]  # neither the names nor the payload were read
+
+
+def test_a_frame_served_in_seven_byte_pieces_round_trips():
+    frame = Frame(PUB, 9, "train/é", "cloud:coordinator", bytes(range(256)) * 3)
+    sock = ScriptedSocket(_encoded(frame) + _encoded(Frame(ACK, 2)), piece=7)
+    assert _recv_frame(sock) == frame
+    assert _recv_frame(sock) == Frame(ACK, 2)
+    assert _recv_frame(sock) is None
+
+
+def test_a_stream_that_ends_inside_the_payload_returns_none():
+    data = _encoded(Frame(PUB, 9, "t", "edge:s", b"payload"))
+    assert _recv_frame(ScriptedSocket(data[:-1])) is None
+
+
+def _traced_peak(call):
+    """What `call()` returns, and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+ONE_MIB_FRAME = Frame(PUB, 3, "train/grads", "fog:worker-0", bytes(range(256)) * 4096)
+
+
+def test_sending_a_frame_does_not_copy_its_payload():
+    a, b = socket.socketpair()
+    with a, b:
+        sink = memoryview(bytearray(len(_encoded(ONE_MIB_FRAME))))
+
+        def drain():
+            view = sink
+            while view and (got := b.recv_into(view)):
+                view = view[got:]
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        _result, peak = _traced_peak(lambda: _send_frame(a, threading.Lock(), ONE_MIB_FRAME))
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+    assert peak < 64 * 1024
+    assert sink.tobytes() == _encoded(ONE_MIB_FRAME)
+
+
+def test_reading_a_frame_copies_its_payload_once_into_bytes():
+    data = _encoded(ONE_MIB_FRAME)
+    a, b = socket.socketpair()
+    with a, b:
+        writer = threading.Thread(target=a.sendall, args=(data,))
+        writer.start()
+        frame, peak = _traced_peak(lambda: _recv_frame(b))
+        writer.join(timeout=10.0)
+        assert not writer.is_alive()
+    assert peak < 1.25 * 1024 * 1024
+    assert type(frame.payload) is bytes
+    assert frame == ONE_MIB_FRAME
 
 
 def _frame_bytes(version: int, kind: int, topic: bytes = b"conf/x", declared_topic=None) -> bytes:
