@@ -11,16 +11,16 @@ import argparse
 import contextlib
 import ctypes
 import hashlib
-import io
 import itertools
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -54,31 +54,24 @@ _TRIM_THRESHOLD_BYTES = 16 << 20
 
 # rows formatted and encoded at a time, so no per-row string outlives its chunk
 _CSV_CHUNK_ROWS = 1024
-# zeroed bytes a CSV buffer starts from: above the mmap threshold and any heap top
-# glibc keeps free, so the buffer is a fresh mapping whose untouched pages stay unmapped
-_CSV_RESERVE_BYTES = 4 * _TRIM_THRESHOLD_BYTES
+
+# an output CSV as an executor returns it: its NamedTuple type, the %-format of one
+# row, and the rows, written by `_csv`
+_Table = tuple[type, str, Iterable[tuple]]
 
 
-def _csv(record: type, row_format: str, rows: Iterable[tuple]) -> bytes:
-    """One CSV file of `record`'s rows, headed by the NamedTuple's fields: `rows` are
-    tuples in field order, and `row_format` is a %-format of one line, such as
-    "%d,%.17g\\n".
-
-    Chunks are written over a zeroed reservation, which is then cut to the file's
-    length, and `getvalue` hands the buffer back without a copy. glibc's calloc
-    maps a reservation this large afresh and does not write it, so each page of
-    the file is touched once and the file is never held twice. Grown from empty,
-    the buffer would pass through the heap below the mmap threshold and leave up
-    to 6 MiB of freed heap resident, by an amount that follows the heap's layout.
+def _csv(record: type, row_format: str, rows: Iterable[tuple],
+         write: Callable[[bytes], object]) -> None:
+    """Hand one CSV file of `record`'s rows to `write`: first the header of the
+    NamedTuple's fields, then each chunk of `_CSV_CHUNK_ROWS` rows, encoded. `rows`
+    are tuples in field order, and `row_format` is a %-format of one line, such as
+    "%d,%.17g\\n". No more than one chunk of the file is held at a time.
     """
     line = row_format.__mod__
     rows = iter(rows)
-    out = io.BytesIO(bytes(_CSV_RESERVE_BYTES))
-    out.write((",".join(record._fields) + "\n").encode("utf-8"))
+    write((",".join(record._fields) + "\n").encode("utf-8"))
     while chunk := "".join(map(line, itertools.islice(rows, _CSV_CHUNK_ROWS))):
-        out.write(chunk.encode("utf-8"))
-    out.truncate()
-    return out.getvalue()
+        write(chunk.encode("utf-8"))
 
 
 def _fix_malloc_thresholds() -> None:
@@ -150,13 +143,12 @@ def _execute_sdp(exp: SdpExperiment, backend: str, port: int):
         instance = build_pipeline(exp.pipeline, broker)
         traces, records = run_pipeline(instance, exp.arrivals, seed=exp.seed)
     stats = pipeline_stats(traces, records)
-    items = _csv(ItemTrace, "%d,%.17g,%.17g,%.17g\n", traces.rows())
-    stages = _csv(StageRecord, "%d,%s,%.17g,%.17g,%.17g\n", records.rows())
     summary = (
         f"{len(traces)} items completed; mean sojourn {stats.mean_sojourn_ms:.1f} ms, "
         f"max {stats.max_sojourn_ms:.1f} ms"
     )
-    return {"items.csv": items, "stages.csv": stages}, summary
+    return {"items.csv": (ItemTrace, "%d,%.17g,%.17g,%.17g\n", traces.rows()),
+            "stages.csv": (StageRecord, "%d,%s,%.17g,%.17g,%.17g\n", records.rows())}, summary
 
 
 def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
@@ -175,10 +167,9 @@ def _execute_dist_train(exp: DistTrainExperiment, backend: str, port: int):
         raise ConfigError(str(exc)) from None
     with _open_bus(backend, port) as bus:
         result = run_training(submit_job(job, bus))
-    epochs = _csv(EpochMetrics, "%d,%.17g,%.17g\n", result.epochs)
     final = result.epochs[-1]
     summary = f"{exp.epochs} epochs on {exp.workers} workers; final accuracy {final.accuracy:.4f}"
-    return {"epochs.csv": epochs}, summary
+    return {"epochs.csv": (EpochMetrics, "%d,%.17g,%.17g\n", result.epochs)}, summary
 
 
 def _execute_fl(exp: FlExperiment, backend: str, port: int):
@@ -195,13 +186,12 @@ def _execute_fl(exp: FlExperiment, backend: str, port: int):
         with _open_bus(backend, port) as bus:
             result = federated.run_sync(exp.config, bus, dataset)
     metrics = federated.fl_metrics(result)
-    rows = _csv(federated.RoundMetrics, "%d,%.17g,%.17g,%d\n", metrics)
     final = metrics[-1]
     summary = (
         f"{exp.config.mode} federated run, {exp.config.rounds} rounds, "
         f"{exp.config.num_clients} clients; final test accuracy {final.test_accuracy:.4f}"
     )
-    return {"fl_rounds.csv": rows}, summary
+    return {"fl_rounds.csv": (federated.RoundMetrics, "%d,%.17g,%.17g,%d\n", metrics)}, summary
 
 
 # kind -> (parse(doc, seed_override, config_dir), execute(experiment, backend, port), help)
@@ -222,17 +212,52 @@ def _execute(kind: str, exp: SdpExperiment | DistTrainExperiment | FlExperiment,
         return _KINDS[kind][1](exp, backend, port)
 
 
+@dataclass(frozen=True)
+class _Written:
+    """An output file as written: its SHA-256 hex digest and its length in bytes."""
+
+    sha256: str
+    size: int
+
+    # perfbench's tracer sums len() of `_write_outputs`' files (ROADMAP item 1 retires it)
+    def __len__(self) -> int:
+        return self.size
+
+
+def _write_table(path: Path, table: _Table) -> _Written:
+    """Stream one table into the file at `path`, through a SHA-256 and a byte count."""
+    digest = hashlib.sha256()
+    size = 0
+    with path.open("wb") as f:
+        def write(chunk: bytes) -> None:
+            nonlocal size
+            digest.update(chunk)
+            size += f.write(chunk)
+        _csv(*table, write)
+    return _Written(digest.hexdigest(), size)
+
+
+def _write_tables(out_dir: Path, tables: dict[str, _Table]) -> dict[str, _Written]:
+    """Write each table to `out_dir` under its name, in name order. Each is written
+    to a temporary name and then renamed, so a failed write leaves no half file
+    under the final name, and no temporary file."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for name, table in sorted(tables.items()):
+        tmp = out_dir / f"{name}.tmp"
+        try:
+            written[name] = _write_table(tmp, table)
+            tmp.replace(out_dir / name)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return written
+
+
 def _write_outputs(
-    out_dir: Path, kind: str, resolved: dict, seed: int, files: dict[str, bytes],
+    out_dir: Path, kind: str, resolved: dict, seed: int, files: dict[str, _Written],
     started: str, finished: str, bus: str,
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, data in sorted(files.items()):
-        (out_dir / name).write_bytes(data)
-        entries.append(
-            {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
+    """Write the run's manifest to `out_dir`, listing the `files` `_write_tables` wrote."""
     manifest = {
         "kind": kind,
         "bus": bus,  # how the run was made, not what it computes: outside config_sha256
@@ -242,7 +267,8 @@ def _write_outputs(
         "config_sha256": hashlib.sha256(_canonical(resolved)).hexdigest(),
         "started_at": started,
         "finished_at": finished,
-        "outputs": entries,
+        "outputs": [{"path": name, "sha256": out.sha256, "bytes": out.size}
+                    for name, out in sorted(files.items())],
     }
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_bytes(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n")
@@ -289,7 +315,7 @@ def _run_experiment(kind: str, args) -> int:
     t0 = time.perf_counter()
     log.info("running %s from %s on the %s bus", kind, config_path, args.bus)
     try:
-        files, summary = _execute(kind, exp, args.bus, args.bus_port)
+        tables, summary = _execute(kind, exp, args.bus, args.bus_port)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -297,11 +323,13 @@ def _run_experiment(kind: str, args) -> int:
         print(f"runtime error: {_describe(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
     elapsed = time.perf_counter() - t0
+    finished = _utc_now()
 
     out_dir = Path(args.out)
     try:
+        files = _write_tables(out_dir, tables)
         _write_outputs(out_dir, kind, _resolved_doc(doc, exp), exp.seed, files, started,
-                       _utc_now(), args.bus)
+                       finished, args.bus)
     except OSError as exc:
         print(f"runtime error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -311,12 +339,39 @@ def _run_experiment(kind: str, args) -> int:
     return EXIT_OK
 
 
-def _first_difference(a: bytes, b: bytes) -> int:
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return i
-    return limit
+class _Differs(Exception):
+    """Raised by `_difference`'s sink to stop `_csv` at the first differing chunk."""
+
+
+def _difference(path: Path, table: _Table) -> str | None:
+    """Where the replayed `table` first differs from the recorded file at `path`, as
+    "byte N (line L, column C)" with 1-based line and column, or None where the two
+    are equal. The file is read in step with the replayed chunks. Where one is longer,
+    they differ at the shorter one's length."""
+    at, line, line_at = 0, 1, 0  # bytes found equal; the line of byte `at` and its start
+
+    def equal(data: bytes) -> None:
+        nonlocal at, line, line_at
+        line += data.count(b"\n")
+        last = data.rfind(b"\n")
+        if last >= 0:
+            line_at = at + last + 1
+        at += len(data)
+
+    with path.open("rb") as recorded:
+        def compare(chunk: bytes) -> None:
+            original = recorded.read(len(chunk))
+            if original != chunk:
+                equal(os.path.commonprefix([original, chunk]))
+                raise _Differs
+            equal(chunk)
+        try:
+            _csv(*table, compare)
+            if not recorded.read(1):
+                return None
+        except _Differs:
+            pass
+    return f"byte {at} (line {line}, column {at - line_at + 1})"
 
 
 def _manifest_problem(manifest) -> str | None:
@@ -354,7 +409,7 @@ def _replay_check(args) -> int:
         if not path.exists():
             print(f"runtime error: recorded output {path} is missing", file=sys.stderr)
             return EXIT_RUNTIME
-        originals[entry["path"]] = path.read_bytes()
+        originals[entry["path"]] = path
     try:
         exp = _KINDS[kind][0](manifest["config"], None, out_dir)
     except ConfigError as exc:
@@ -364,18 +419,22 @@ def _replay_check(args) -> int:
     if bus != "sim":
         print(f"the run used the {bus} bus; replaying it on the sim bus")
     try:
-        files, _summary = _execute(kind, exp, "sim", 0)
+        tables, _summary = _execute(kind, exp, "sim", 0)
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: replay failed: {_describe(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
-    for name, original in sorted(originals.items()):
-        replayed = files.get(name)
-        if replayed is None:
+    for name, path in sorted(originals.items()):
+        table = tables.get(name)
+        if table is None:
             print(f"replay mismatch: {name} was not produced on replay", file=sys.stderr)
             return EXIT_REPLAY
-        if replayed != original:
-            offset = _first_difference(original, replayed)
-            print(f"replay mismatch: {name} differs at byte {offset}", file=sys.stderr)
+        try:
+            where = _difference(path, table)
+        except OSError as exc:
+            print(f"runtime error: cannot read recorded output: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        if where is not None:
+            print(f"replay mismatch: {name} differs at {where}", file=sys.stderr)
             return EXIT_REPLAY
     print(f"replay check passed: {len(originals)} file(s) byte-identical")
     return EXIT_OK

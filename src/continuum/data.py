@@ -168,15 +168,6 @@ def load_csv(path: str | Path, label_column: int, num_classes: int, has_header: 
     return Dataset(features, labels, num_classes, name=path.stem)
 
 
-def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Emit features then the label as the final column; floats round-trip exactly."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for x, y in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in x))
-            fh.write(f",{int(y)}\n")
-
-
 def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:
     """Deal a seeded shuffle into disjoint covering parts, as row indices in dealt order."""
     if num_parts < 1:

@@ -1,4 +1,14 @@
 import re
+from pathlib import Path
+
+
+def write_csv(dataset, path: Path) -> None:
+    """Write `dataset` as `data.load_csv` reads it: the features, then the label as
+    the last column, one sample a line; each float round-trips exactly."""
+    with path.open("w", newline="") as fh:
+        for x, y in zip(dataset.features, dataset.labels):
+            fh.write(",".join(repr(float(v)) for v in x))
+            fh.write(f",{int(y)}\n")
 
 
 def record(bus) -> list:

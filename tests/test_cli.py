@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import platform
@@ -5,11 +6,13 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import continuum
+from conftest import write_csv
 from continuum import cli, federated, training
 from continuum.cli import main
 
@@ -329,9 +332,7 @@ def test_replay_check_passes_then_detects_tampering(tmp_path, capsys):
 
 
 def test_replay_check_works_for_csv_datasets_from_other_cwd(tmp_path, monkeypatch):
-    import numpy as np
-
-    from continuum.data import synth_blobs, write_csv
+    from continuum.data import synth_blobs
 
     csv_dir = tmp_path / "datasets"
     csv_dir.mkdir()
@@ -356,6 +357,18 @@ def test_replay_check_missing_output_exits_1(tmp_path):
     assert main(["sdp-sim", str(config), "--out", str(out)]) == 0
     (out / "items.csv").unlink()
     assert main(["replay-check", str(out / "manifest.json")]) == 1
+
+
+def test_replay_check_on_an_unreadable_recorded_output_exits_1_naming_it(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", small_sdp_doc())
+    out = tmp_path / "out"
+    assert main(["sdp-sim", str(config), "--out", str(out)]) == 0
+    (out / "stages.csv").unlink()
+    (out / "stages.csv").mkdir()
+    capsys.readouterr()
+    assert main(["replay-check", str(out / "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: cannot read recorded output: ") and "stages.csv" in err
 
 
 def test_replay_check_unreadable_manifest_exits_1(tmp_path):
@@ -540,22 +553,22 @@ def test_dist_train_takes_few_page_faults_per_epoch(tmp_path, bus):
     assert (faults[100] - faults[50]) / 50 < 200, faults
 
 
-@pytest.mark.parametrize("reserve", [None, 64, 1], ids=["reserved", "outgrown", "tiny"])
-@pytest.mark.parametrize("count", [0, 1, 3000])
-def test_csv_bytes_do_not_depend_on_the_reservation(monkeypatch, reserve, count):
-    if reserve is not None:
-        monkeypatch.setattr(cli, "_CSV_RESERVE_BYTES", reserve)
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
+def test_csv_streams_the_header_then_each_chunk_of_rows(count):
     rows = [(i, i / 7, -1e300 * i) for i in range(count)]
-    data = cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g\n", rows)
-    assert type(data) is bytes
-    assert data == ("round,test_accuracy,test_loss,contributors\n"
-                    + "".join("%d,%.17g,%.17g\n" % row for row in rows)).encode()
+    chunks = []
+    cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g\n", rows, chunks.append)
+    assert all(type(chunk) is bytes for chunk in chunks)
+    assert len(chunks) == 1 + -(-count // cli._CSV_CHUNK_ROWS)
+    assert b"".join(chunks) == ("round,test_accuracy,test_loss,contributors\n"
+                                + "".join("%d,%.17g,%.17g\n" % row for row in rows)).encode()
 
 
-# Builds a 7.3 MB CSV from flat columns in a fresh interpreter, after main's malloc
-# settings, and prints its size and how far the resident set rose above where it
-# stood before the call.
+# Writes a 7.3 MB CSV from flat columns to a file in a fresh interpreter, after
+# main's malloc settings, and prints its size and how far the resident set rose
+# above where it stood before the call.
 _CSV_RSS_SCRIPT = """
+import sys
 from array import array
 from continuum import cli, federated
 cli._fix_malloc_thresholds()
@@ -567,16 +580,131 @@ def status(field):
 n = 200_000
 columns = array("d", range(n)), array("d", (i / 7 for i in range(n)))
 before = status("VmRSS:")
-data = cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g,%d\\n", zip(range(n), *columns, range(n)))
-print(len(data), status("VmHWM:") - before)
+with open(sys.argv[1], "wb") as f:
+    cli._csv(federated.RoundMetrics, "%d,%.17g,%.17g,%d\\n", zip(range(n), *columns, range(n)),
+             f.write)
+    size = f.tell()
+print(size, status("VmHWM:") - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the reservation relies on glibc")
-def test_csv_raises_the_resident_set_by_its_size_once():
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
+def test_csv_written_to_a_file_raises_the_resident_set_by_under_1_mib(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(continuum.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", _CSV_RSS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", _CSV_RSS_SCRIPT, str(tmp_path / "big.csv")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
     size, rise = map(int, done.stdout.split())
     assert size > 4 << 20
-    assert rise <= size + (1 << 20), f"{size} B of CSV raised the resident set by {rise} B"
+    assert size == (tmp_path / "big.csv").stat().st_size
+    assert rise < 1 << 20, f"{size} B of CSV raised the resident set by {rise} B"
+
+
+def _sdp_stream_doc(count: int) -> dict:
+    """The bundled pipeline with `count` arrivals and uniform services, whose times
+    print with up to 17 digits, as on the benchmark's sdp-stream workload."""
+    doc = json.loads((BUNDLED / "iiot_surveillance.json").read_text())
+    doc["arrivals"]["count"] = count
+    for stage in doc["stages"][1:3]:
+        del stage["service_ms"]
+        stage["service_uniform_ms"] = [1000, 2000]
+    return doc
+
+
+def test_writing_and_replaying_outputs_take_memory_that_does_not_grow_with_the_run(
+    tmp_path, monkeypatch
+):
+    # tracing starts once the run's statistics are taken, so each peak is that of
+    # the CSVs and the manifest: written on the run, compared on its replay
+    real_stats = cli.pipeline_stats
+
+    def stats_then_trace(*args):
+        stats = real_stats(*args)
+        tracemalloc.start()
+        return stats
+
+    monkeypatch.setattr(cli, "pipeline_stats", stats_then_trace)
+    peaks = {}
+    for count in (2000, 4000):
+        config = write_config(tmp_path / f"{count}.json", _sdp_stream_doc(count))
+        out = tmp_path / str(count)
+        for argv in (["sdp-sim", str(config), "--out", str(out)],
+                     ["replay-check", str(out / "manifest.json")]):
+            try:
+                assert main(argv) == 0
+                peaks[argv[0], count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert (tmp_path / "4000" / "stages.csv").stat().st_size > 1 << 20
+    for command in ("sdp-sim", "replay-check"):
+        # at 2,000 items, items.csv alone is 100 KB and stages.csv 592 KB
+        assert peaks[command, 4000] - peaks[command, 2000] < 32 << 10, peaks
+
+
+class _DiskFullAfter:
+    """A file open for writing that takes `room` bytes, then raises ENOSPC."""
+
+    def __init__(self, file, room: int):
+        self.file, self.room = file, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data) -> int:
+        taken = self.file.write(bytes(data[:self.room]))
+        self.room -= taken
+        if taken < len(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return taken
+
+
+def test_a_failed_write_leaves_no_partial_csv_and_no_temporary_file(
+    tmp_path, capsys, monkeypatch
+):
+    real_open = Path.open
+
+    def open_filling_up(self, mode="r", *args, **kwargs):
+        file = real_open(self, mode, *args, **kwargs)
+        if self.name.startswith("stages.csv") and "w" in mode:
+            return _DiskFullAfter(file, 10_000)
+        return file
+
+    monkeypatch.setattr(Path, "open", open_filling_up)
+    config = write_config(tmp_path / "c.json", _sdp_stream_doc(200))
+    out = tmp_path / "out"
+    assert main(["sdp-sim", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: cannot write outputs: ") and "No space" in err
+    assert not (out / "stages.csv").exists()
+    assert list(out.glob("*.tmp")) == []
+    assert not (out / "manifest.json").exists()
+
+
+def _position(data: bytes, offset: int) -> str:
+    """`offset` with its 1-based line and column in `data`."""
+    line, line_at = data.count(b"\n", 0, offset) + 1, data.rfind(b"\n", 0, offset) + 1
+    return f"byte {offset} (line {line}, column {offset - line_at + 1})"
+
+
+@pytest.mark.parametrize(
+    "tamper, offset",
+    [(lambda data: data[:200] + b"#" + data[201:], lambda data: 200),
+     (lambda data: data[:-3000] + b"#" + data[-2999:], lambda data: len(data) - 3000),
+     (lambda data: data + b"1500,alert,0,0,0\n", len),
+     (lambda data: data[:-10], lambda data: len(data) - 10)],
+    ids=["first-chunk", "later-chunk", "recorded-longer", "recorded-shorter"],
+)
+def test_replay_mismatch_names_the_byte_line_and_column(tmp_path, capsys, tamper, offset):
+    config = write_config(tmp_path / "c.json", _sdp_stream_doc(300))
+    out = tmp_path / "out"
+    assert main(["sdp-sim", str(config), "--out", str(out)]) == 0
+    stages = out / "stages.csv"
+    data = stages.read_bytes()
+    assert data.count(b"\n") == 1 + 1500  # the header, then two chunks of rows
+    stages.write_bytes(tamper(data))
+    capsys.readouterr()
+    assert main(["replay-check", str(out / "manifest.json")]) == 3
+    where = _position(data, offset(data))
+    assert capsys.readouterr().err == f"replay mismatch: stages.csv differs at {where}\n"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_csv
 from continuum import data
 
 
@@ -112,7 +113,7 @@ def test_load_csv_rejects_out_of_range_label(tmp_path):
 def test_load_csv_header_and_517_row_file(tmp_path):
     ds = data.synth_blobs(517, 10, 4, separation=4.0, seed=2)
     path = tmp_path / "forest.csv"
-    data.write_csv(ds, path)
+    write_csv(ds, path)
     loaded = data.load_csv(path, label_column=10, num_classes=4)
     assert len(loaded) == 517
     assert loaded.features.shape == (517, 10)
@@ -125,7 +126,7 @@ def test_load_csv_header_and_517_row_file(tmp_path):
 def test_write_then_load_round_trips_exactly(tmp_path):
     ds = data.synth_blobs(40, 6, 3, separation=1.5, seed=9)
     path = tmp_path / "roundtrip.csv"
-    data.write_csv(ds, path)
+    write_csv(ds, path)
     back = data.load_csv(path, label_column=6, num_classes=3)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
