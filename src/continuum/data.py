@@ -28,7 +28,6 @@ class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int class indices
     num_classes: int
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or self.features.shape[0] < 1:
@@ -46,7 +45,7 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def take(self, rows: np.ndarray | slice, name: str | None = None) -> Dataset:
+    def take(self, rows: np.ndarray | slice) -> Dataset:
         """These rows, not checked again: they passed the checks when this Dataset was built.
 
         An index array copies the rows, a slice views them. At least one row is required.
@@ -56,8 +55,7 @@ class Dataset:
             raise ValueError("take needs at least one row")
         subset = object.__new__(Dataset)  # skips __post_init__ and its scan of every value
         subset.__dict__.update(features=features, labels=self.labels[rows],
-                               num_classes=self.num_classes,
-                               name=self.name if name is None else name)
+                               num_classes=self.num_classes)
         return subset
 
 
@@ -95,7 +93,6 @@ def synth_blobs(
     num_classes: int,
     separation: float,
     seed: int,
-    name: str = "blobs",
 ) -> Dataset:
     """Isotropic unit-variance Gaussian per class, centered at separation * u_c.
 
@@ -116,7 +113,7 @@ def synth_blobs(
     features = rng.normal(size=(n, d))
     for c in range(num_classes):  # in place: no second n x d array of centres
         features[c::num_classes] += centers[c]
-    return Dataset(features, labels, num_classes, name)
+    return Dataset(features, labels, num_classes)
 
 
 def load_csv(path: str | Path, label_column: int, num_classes: int, has_header: bool = False) -> Dataset:
@@ -165,7 +162,7 @@ def load_csv(path: str | Path, label_column: int, num_classes: int, has_header: 
                         f"{path}: unparsable value at row {i + offset}, column {j + 1}: {cell!r}"
                     ) from None
                 col += 1
-    return Dataset(features, labels, num_classes, name=path.stem)
+    return Dataset(features, labels, num_classes)
 
 
 def partition(dataset: Dataset, num_parts: int, seed: int) -> list[Part]:

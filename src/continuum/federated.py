@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Container, NamedTuple
 
 import numpy as np
 
@@ -162,8 +162,7 @@ def split_train_test(dataset: Dataset) -> tuple[Dataset, Dataset]:
     half = n - n // 2
     if n < 2:
         raise ValueError("dataset too small to split")
-    return (dataset.take(slice(None, half), name=f"{dataset.name}/train"),
-            dataset.take(slice(half, None), name=f"{dataset.name}/test"))
+    return dataset.take(slice(None, half)), dataset.take(slice(half, None))
 
 
 def _update_payload(update: ClientUpdate) -> bytes:
@@ -177,6 +176,47 @@ def _decode_update(payload: bytes) -> ClientUpdate:
 
 def _global_payload(round_index: int, params: np.ndarray) -> bytes:
     return wire.pack({"type": "global", "round": round_index, "params": params})
+
+
+# The rules both learning servers (this one and `training`'s coordinator) keep for the
+# one contribution per participant per round they collect. Participant k of `count` is
+# the node `node.format(**{role: k})`, as in CLIENT_NODE.format(client=k).
+def awaited(done: bool, pending: Container[int], node: str, role: str, count: int,
+            server: str) -> list[str]:
+    """Participants missing from `pending`, else the server while it aggregates; none once done."""
+    if done:
+        return []
+    return [node.format(**{role: k}) for k in range(count) if k not in pending] or [server]
+
+
+def rejected(sender: str, noun: str, role: str, k: int, fault: str) -> RuntimeError:
+    """The error naming a contribution's sender, its participant and what it has wrong."""
+    return RuntimeError(f"{sender}: {noun} of {role} {k} has {fault}")
+
+
+def admit(sender: str, noun: str, node: str, role: str, count: int, k, sample_count) -> None:
+    """Raise unless k is a participant's int id, `sender` is its node and sample_count >= 1."""
+    if type(k) is not int or not 0 <= k < count:  # a bool is no id
+        raise RuntimeError(f"{sender}: {noun} names unknown {role}_id {k!r}")
+    if sender != (expected := node.format(**{role: k})):
+        raise RuntimeError(f"{sender}: {noun} names {role} {k}, which only {expected} may send")
+    if type(sample_count) is not int or sample_count < 1:
+        raise rejected(sender, noun, role, k, f"sample_count {sample_count!r}"
+                       + (" < 1" if type(sample_count) is int else ", not an int"))
+
+
+def drive_rounds(broker: Bus, awaiting: Awaiting, step: Callable[[], str],
+                 learning_rate: float) -> None:
+    """Drive `broker` until `awaiting()` is empty.
+
+    A FloatingPointError (numpy's, where the caller set np.errstate to raise, or a
+    non-finite loss) becomes a RuntimeError naming the learning rate and the step in
+    progress, as `step()` names it.
+    """
+    try:
+        broker.drive(awaiting)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{step()} with lr {learning_rate!r}: {exc}") from exc
 
 
 class _Server:
@@ -215,29 +255,16 @@ class _Server:
             return
         update = _decode_update(env.payload)
         client_id = update.client_id
-        if type(client_id) is not int or not 0 <= client_id < self.config.num_clients:
-            raise RuntimeError(f"{env.sender}: update names unknown client_id {client_id!r}")
-        expected = CLIENT_NODE.format(client=client_id)
-        if env.sender != expected:
-            raise RuntimeError(
-                f"{env.sender}: update names client {client_id}, which only {expected} may send"
-            )
-        sample_count = update.sample_count
-        if type(sample_count) is not int or sample_count < 1:
-            raise RuntimeError(
-                f"{env.sender}: update of client {client_id} has sample_count {sample_count!r}"
-                + (" < 1" if type(sample_count) is int else ", not an int")
-            )
+        admit(env.sender, "update", CLIENT_NODE, "client", self.config.num_clients, client_id,
+              update.sample_count)
         if type(update.base_round) is not int or not 0 <= update.base_round <= self.round_index:
-            raise RuntimeError(
-                f"{env.sender}: update of client {client_id} has base_round "
-                f"{update.base_round!r}, not an int in [0, {self.round_index}]"
-            )
+            raise rejected(env.sender, "update", "client", client_id, f"base_round "
+                           f"{update.base_round!r}, not an int in [0, {self.round_index}]")
         if mismatch := nn.vector_mismatch(update.params, self.params.shape[0]):
-            raise RuntimeError(f"{env.sender}: update of client {client_id} has params {mismatch}")
-        previous = self.pending.get(update.client_id)
+            raise rejected(env.sender, "update", "client", client_id, f"params {mismatch}")
+        previous = self.pending.get(client_id)
         if previous is None or update.base_round >= previous.base_round:
-            self.pending[update.client_id] = update  # keep the freshest basis per client
+            self.pending[client_id] = update  # keep the freshest basis per client
 
     def aggregate(self) -> None:
         """Close a round: average the fresh-enough updates, record, broadcast unless done."""
@@ -254,30 +281,15 @@ class _Server:
         else:
             self.done = True
 
-    def drive(self, awaiting: Awaiting) -> FlRunResult:
-        """Drive the run to its end and return its result.
-
-        A FloatingPointError (numpy's, where the caller set np.errstate to raise, or
-        a non-finite test loss) becomes a RuntimeError naming the round in progress
-        and the learning rate.
-        """
-        try:
-            self.broker.drive(awaiting)
-        except FloatingPointError as exc:
-            raise RuntimeError(f"round {self.round_index + 1} with lr "
-                               f"{self.config.learning_rate!r}: {exc}") from exc
+    def drive(self, clients: int) -> FlRunResult:
+        """Run to the end, each round awaiting `clients` updates (sync: all; async: none)."""
+        drive_rounds(self.broker, lambda: awaited(self.done, self.pending, CLIENT_NODE, "client",
+                                                  clients, SERVER_NODE),
+                     lambda: f"round {self.round_index + 1}", self.config.learning_rate)
         return FlRunResult(GlobalModel(self.round_index, self.params), self.rows)
 
 
 class _SyncServer(_Server):
-    def awaiting(self) -> list[str]:
-        """Clients whose update this round lacks, or the server while it aggregates."""
-        if self.done:
-            return []
-        missing = [CLIENT_NODE.format(client=k)
-                   for k in range(self.config.num_clients) if k not in self.pending]
-        return missing or [SERVER_NODE]
-
     def on_update(self, env: Envelope) -> None:
         super().on_update(env)
         if len(self.pending) == self.config.num_clients:
@@ -295,6 +307,9 @@ class _Client:
         broker.subscribe(self.node, GLOBAL_TOPIC, self.on_global)
 
     def on_global(self, env: Envelope) -> None:
+        if env.sender != SERVER_NODE:
+            raise RuntimeError(
+                f"{env.sender}: {env.topic} message, which only {SERVER_NODE} may send")
         msg = wire.unpack(env.payload)
         if msg["round"] > self.latest.round_index:
             self.latest = GlobalModel(msg["round"], msg["params"])
@@ -304,16 +319,13 @@ class _Client:
             client_local_train(self.client_id, self.latest, round_index, self.part, self.config)
         )
 
-    def train_and_send(self, round_index: int) -> None:
-        self.broker.publish(self.node, UPDATE_TOPIC, self.build_update(round_index))
-
 
 class _SyncClient(_Client):
     def on_global(self, env: Envelope) -> None:
         super().on_global(env)
         round_index = self.latest.round_index
         if round_index < self.config.rounds:
-            self.train_and_send(round_index)
+            self.broker.publish(self.node, UPDATE_TOPIC, self.build_update(round_index))
 
 
 def check_fit(config: FlConfig, dataset: Dataset) -> None:
@@ -338,7 +350,7 @@ def run_sync(config: FlConfig, broker: Bus, dataset: Dataset) -> FlRunResult:
     server = _SyncServer(config, broker, test)
     clients = [_SyncClient(k, config, broker, parts[k]) for k in range(config.num_clients)]
     server.broadcast()
-    return server.drive(server.awaiting)
+    return server.drive(config.num_clients)
 
 
 def run_async(
@@ -379,7 +391,7 @@ def run_async(
         for k, client in enumerate(clients):
             broker.call_at(r * interval, fire, client, rngs[k], r)
         broker.call_at((r + 0.5) * interval, server.aggregate)
-    return server.drive(lambda: [] if server.done else [SERVER_NODE])
+    return server.drive(0)
 
 
 def fl_metrics(result: FlRunResult) -> list[RoundMetrics]:

@@ -36,6 +36,7 @@ import numpy as np
 from . import nn, wire
 from .bus import Bus
 from .data import Dataset, Part, partition
+from .federated import admit, awaited, drive_rounds, rejected
 
 ASSIGN_TOPIC = "train/job/worker/{worker}"
 GRADS_TOPIC = "train/job/gradients"
@@ -111,10 +112,12 @@ class _Worker:
         broker.subscribe(self.node, ASSIGN_TOPIC.format(worker=worker_id), self.on_message)
 
     def on_message(self, env) -> None:
+        if env.sender != COORDINATOR_NODE:
+            raise RuntimeError(
+                f"{env.sender}: {env.topic} message, which only {COORDINATOR_NODE} may send")
         msg = wire.unpack(env.payload)
         if "shard_features" in msg:  # first message carries the data shard
-            self.shard = Dataset(msg["shard_features"], msg["shard_labels"], msg["num_classes"],
-                                 name=f"shard{self.worker_id}")
+            self.shard = Dataset(msg["shard_features"], msg["shard_labels"], msg["num_classes"])
             self.terms = msg["terms"]
         if self.shard is None:
             raise RuntimeError(f"worker {self.worker_id} received params before its shard")
@@ -169,14 +172,6 @@ class _Coordinator:
                 wire.pack(msg),
             )
 
-    def awaiting(self) -> list[str]:
-        """Workers whose gradients this epoch lacks, or the coordinator while it steps."""
-        if self.done:
-            return []
-        missing = [WORKER_NODE.format(worker=k)
-                   for k in range(self.job.num_workers) if k not in self.pending]
-        return missing or [COORDINATOR_NODE]
-
     def on_gradient(self, env) -> None:
         msg = wire.unpack(env.payload)
         if msg["epoch"] != self.epoch:
@@ -184,43 +179,27 @@ class _Coordinator:
                 f"{env.sender}: gradient for epoch {msg['epoch']} arrived during epoch {self.epoch}"
             )
         worker_id, sample_count = msg["worker_id"], msg["sample_count"]
-        if type(worker_id) is not int or not 0 <= worker_id < self.job.num_workers:
-            raise RuntimeError(f"{env.sender}: gradient names unknown worker_id {worker_id!r}")
-        expected = WORKER_NODE.format(worker=worker_id)
-        if env.sender != expected:
-            raise RuntimeError(
-                f"{env.sender}: gradient names worker {worker_id}, which only {expected} may send"
-            )
+        admit(env.sender, "gradient", WORKER_NODE, "worker", self.job.num_workers, worker_id,
+              sample_count)
         if worker_id in self.pending:
             raise RuntimeError(
                 f"{env.sender}: second gradient for worker {worker_id} in epoch {self.epoch}"
             )
-        if type(sample_count) is not int or sample_count < 1:
-            raise RuntimeError(
-                f"{env.sender}: gradient of worker {worker_id} has sample_count {sample_count!r}"
-                + (" < 1" if type(sample_count) is int else ", not an int")
-            )
         if mismatch := nn.vector_mismatch(msg["grads"], self.model.param_count):
-            raise RuntimeError(f"{env.sender}: gradient of worker {worker_id} has grads {mismatch}")
+            raise rejected(env.sender, "gradient", "worker", worker_id, f"grads {mismatch}")
         if self.rows_from_workers:  # the workers were told to send their terms
             picked, correct = msg["picked"], msg["correct"]
             rows = self.parts[worker_id].rows
             if picked.shape != rows.shape:
                 count = picked.shape[0] if picked.ndim == 1 else f"a {picked.ndim}-d array of"
-                raise RuntimeError(
-                    f"{env.sender}: gradient of worker {worker_id} has {count} picked "
-                    f"probabilities for a shard of {rows.shape[0]} rows"
-                )
+                raise rejected(env.sender, "gradient", "worker", worker_id, f"{count} picked "
+                               f"probabilities for a shard of {rows.shape[0]} rows")
             if not ((picked >= 0.0) & (picked <= 1.0)).all():  # NaN fails both
-                raise RuntimeError(
-                    f"{env.sender}: gradient of worker {worker_id} has a picked probability "
-                    f"outside [0, 1]"
-                )
+                raise rejected(env.sender, "gradient", "worker", worker_id,
+                               "a picked probability outside [0, 1]")
             if type(correct) is not int or not 0 <= correct <= rows.shape[0]:
-                raise RuntimeError(
-                    f"{env.sender}: gradient of worker {worker_id} has correct {correct!r}, "
-                    f"not an int in [0, {rows.shape[0]}]"
-                )
+                raise rejected(env.sender, "gradient", "worker", worker_id,
+                               f"correct {correct!r}, not an int in [0, {rows.shape[0]}]")
             self.picked[rows] = picked
             self.correct += correct
         self.pending[worker_id] = (worker_id, msg["grads"], sample_count)
@@ -266,14 +245,10 @@ def submit_job(job: TrainJob, broker: Bus) -> JobHandle:
 def run_training(handle: JobHandle) -> TrainResult:
     """Drive the submitted job to completion and collect per-epoch metrics.
 
-    A FloatingPointError (numpy's, where the caller set np.errstate to raise, or a
-    non-finite loss) becomes a RuntimeError naming the epoch and the learning rate.
+    A FloatingPointError becomes a RuntimeError naming the epoch and the learning rate.
     """
-    coord = handle.coordinator
-    try:
-        handle.broker.drive(coord.awaiting)
-    except FloatingPointError as exc:
-        raise RuntimeError(
-            f"epoch {coord.epoch} with lr {handle.job.learning_rate!r}: {exc}"
-        ) from exc
+    coord, job = handle.coordinator, handle.job
+    drive_rounds(handle.broker, lambda: awaited(coord.done, coord.pending, WORKER_NODE, "worker",
+                                                job.num_workers, COORDINATOR_NODE),
+                 lambda: f"epoch {coord.epoch}", job.learning_rate)
     return TrainResult(coord.model, coord.metrics)

@@ -12,7 +12,7 @@ def index_dataset(n: int, num_classes: int = 4) -> data.Dataset:
     features = np.zeros((n, 2))
     features[:, 0] = np.arange(n)
     labels = np.arange(n) % num_classes
-    return data.Dataset(features, labels, num_classes, name="indexed")
+    return data.Dataset(features, labels, num_classes)
 
 
 def whole_part(ds: data.Dataset) -> data.Part:
@@ -193,7 +193,7 @@ def test_partition_properties(n, parts, seed):
 def test_round_batches_gathered_by_index_equal_batches_of_copied_parts(n, parts, per_round, seed):
     parts = min(parts, n)
     rng = np.random.default_rng(seed)
-    ds = data.Dataset(rng.normal(size=(n, 3)), rng.integers(0, 5, size=n), 5, name="rand")
+    ds = data.Dataset(rng.normal(size=(n, 3)), rng.integers(0, 5, size=n), 5)
     dealt = data.partition(ds, parts, seed)
     for part, copy in zip(dealt, [ds.take(p.rows) for p in dealt]):
         for r in range(2 * n // per_round + 2):  # past the wrap of every part
@@ -249,10 +249,10 @@ def test_dataset_validation():
 
 def test_take_views_a_slice_copies_indexed_rows_and_checks_nothing_again(monkeypatch):
     ds = index_dataset(10)
-    head = ds.take(slice(None, 4), name="head")
+    head = ds.take(slice(None, 4))
     rows = ds.take(np.array([7, 2]))
-    assert np.shares_memory(head.features, ds.features) and head.name == "head"
-    assert not np.shares_memory(rows.features, ds.features) and rows.name == "indexed"
+    assert np.shares_memory(head.features, ds.features)
+    assert not np.shares_memory(rows.features, ds.features)
     assert rows.features[:, 0].tolist() == [7.0, 2.0] and rows.labels.tolist() == [3, 2]
     assert (len(head), len(rows), rows.num_classes) == (4, 2, 4)
     monkeypatch.setattr(np, "isfinite", None)  # a re-scan would call it

@@ -388,18 +388,20 @@ def test_privacy_scan_reports_params_that_are_not_a_float64_vector():
 
 
 class StrayUpdateBroker(SimBroker):
-    """Slips one foreign update onto the bus right after the first global broadcast."""
+    """Slips one foreign message (an update, by default) onto the bus right after the first
+    global broadcast."""
 
-    def __init__(self, sender: str, stray: bytes):
+    def __init__(self, sender: str, stray: bytes, topic: str = federated.UPDATE_TOPIC):
         super().__init__()
         self.sender = sender
         self.stray = stray
+        self.topic = topic
 
     def publish(self, sender, topic, payload):
         msg_id = super().publish(sender, topic, payload)
         if self.stray and topic == federated.GLOBAL_TOPIC:
             stray, self.stray = self.stray, b""
-            super().publish(self.sender, federated.UPDATE_TOPIC, stray)
+            super().publish(self.sender, self.topic, stray)
         return msg_id
 
 
@@ -411,6 +413,8 @@ PARAMS = nn.serialize_params(nn.init_model((6, 5, 3), "sigmoid", 0))  # small_co
     "sender, client_id, base_round, params, sample_count, cause",
     [
         ("fog:rogue", 99, 0, PARAMS, 10, r"^fog:rogue: update names unknown client_id 99$"),
+        ("fog:client-1", True, 0, PARAMS, 10,
+         r"^fog:client-1: update names unknown client_id True$"),
         ("fog:client-0", 0, 0, PARAMS, 0,
          r"^fog:client-0: update of client 0 has sample_count 0 < 1$"),
         ("fog:client-0", 0, 0, PARAMS, "x",
@@ -432,7 +436,7 @@ PARAMS = nn.serialize_params(nn.init_model((6, 5, 3), "sigmoid", 0))  # small_co
          r"^fog:client-0: update of client 0 has params of dtype int64 and shape \(53,\), "
          r"not float64 of shape \(53,\)$"),
     ],
-    ids=["unknown-client", "zero-samples", "string-samples", "fractional-samples",
+    ids=["unknown-client", "bool-client", "zero-samples", "string-samples", "fractional-samples",
          "bool-samples", "impostor", "future-round", "negative-round",
          "short-params", "int64-params"],
 )
@@ -445,6 +449,16 @@ def test_server_rejects_a_stray_update_naming_its_sender(
     run = federated.run_sync if mode == "sync" else federated.run_async
     with pytest.raises(RuntimeError, match=cause):
         run(config, broker, small_dataset())
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_clients_reject_a_global_model_the_server_did_not_send(mode):
+    stray = federated._global_payload(5, np.zeros(3))  # a later round than any real one
+    broker = StrayUpdateBroker("edge:intruder", stray, topic=federated.GLOBAL_TOPIC)
+    run = federated.run_sync if mode == "sync" else federated.run_async
+    with pytest.raises(RuntimeError, match=r"^edge:intruder: fl/global message, "
+                                           r"which only cloud:server may send$"):
+        run(small_config(mode=mode, rounds=3), broker, small_dataset())
 
 
 # --- config validation ---

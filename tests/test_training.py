@@ -253,6 +253,8 @@ def test_stall_names_the_workers_that_did_not_report():
     "sender, worker_id, sample_count, copies, picked, correct, cause",
     [
         ("fog:rogue", 7, 0, 1, [0.5] * 60, 0, r"^fog:rogue: gradient names unknown worker_id 7$"),
+        ("fog:worker-1", True, 40, 1, [0.5] * 60, 0,
+         r"^fog:worker-1: gradient names unknown worker_id True$"),
         ("fog:worker-0", 0, 40, 2, [0.5] * 60, 0,
          r"^fog:worker-0: second gradient for worker 0 in epoch 1$"),
         ("fog:worker-0", 0, 0, 1, [0.5] * 60, 0,
@@ -282,8 +284,8 @@ def test_stall_names_the_workers_that_did_not_report():
         ("fog:worker-0", 0, 40, 1, [0.5] * 60, 1.0,
          r"^fog:worker-0: gradient of worker 0 has correct 1\.0, not an int in \[0, 60\]$"),
     ],
-    ids=["unknown-worker", "duplicate", "zero-samples", "string-samples", "fractional-samples",
-         "bool-samples", "impostor", "short-picked",
+    ids=["unknown-worker", "bool-worker", "duplicate", "zero-samples", "string-samples",
+         "fractional-samples", "bool-samples", "impostor", "short-picked",
          "2-d-picked", "picked-nan", "picked-above-one", "picked-negative", "correct-above-shard-rows",
          "correct-not-int"],
 )
@@ -325,6 +327,17 @@ def test_coordinator_rejects_grads_that_do_not_fit_the_model_naming_their_sender
     handle = training.submit_job(job, broker)
     broker.publish("fog:worker-0", training.GRADS_TOPIC, stray)  # ahead of the worker's own
     with pytest.raises(RuntimeError, match=r"^fog:worker-0: gradient of worker 0 has grads " + cause):
+        training.run_training(handle)
+
+
+def test_workers_reject_an_assignment_the_coordinator_did_not_send():
+    job = make_job(2, epochs=2)  # a 6-5-3 model: 53 parameters
+    broker = SimBroker()
+    handle = training.submit_job(job, broker)
+    stray = wire.pack({"epoch": 2, "params": np.zeros(53)})  # queued behind the shards
+    broker.publish("edge:intruder", training.ASSIGN_TOPIC.format(worker=0), stray)
+    with pytest.raises(RuntimeError, match=r"^edge:intruder: train/job/worker/0 message, "
+                                           r"which only cloud:coordinator may send$"):
         training.run_training(handle)
 
 
