@@ -7,7 +7,9 @@ layer 0 biases, layer 1 weights, ...), and its per-layer weights and biases
 are views into it: serializing returns the vector, an SGD step is one vector
 expression, and reordering the layout breaks every serialized model in flight.
 Each layer allocates one array, its matmul output, and adds the bias and
-applies the activation or the softmax in place on it; backprop likewise
+applies the activation or the softmax in place on it, with at most one
+scratch array of _SIGMOID_BLOCK elements (one row, if a row is wider) for a
+sigmoid and a column for the softmax's row maxima and sums; backprop likewise
 overwrites only arrays it allocated, and `gradient` writes each layer's
 gradient through the views of a vector it allocated. Nothing here writes to
 the caller's features or labels, or to a vector it did not allocate, so a
@@ -24,19 +26,43 @@ import numpy as np
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(min(z, 0)) / (1 + exp(-|z|)): exp never overflows, and no per-element select.
+# Elements _sigmoid takes per pass over its one scratch array: 512 KiB of float64, so the
+# scratch stays small however many rows a batch has.
+_SIGMOID_BLOCK = 65536
+# 1.0 as a read-only 0-d array: a ufunc converts a Python float operand on every call,
+# which costs an 8x8 batch's sigmoid about 0.2 us per operation.
+_ONE = np.ones(())
+_ONE.flags.writeable = False
 
-    Bit for bit 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below. `out` may be z.
+
+def _sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, e: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(min(z, 0)) / (1 + exp(-|z|)) in one exp: e = exp(min(z, -z)), then
+    max(copysign(1, z), e) / (1 + e). exp never overflows, and no per-element select.
+
+    Bit for bit 1/(1+exp(-z)) for z >= +0, where e <= 1 makes the numerator 1, and
+    exp(z)/(1+exp(z)) below and at -0, where the numerator is e. `out` may be z. The
+    scratch `e`, if given, has z's shape. Without it, a z of more than _SIGMOID_BLOCK
+    elements goes in blocks of rows, all through one scratch array.
     """
+    if e is None and z.size > _SIGMOID_BLOCK:
+        if out is None:
+            out = np.empty_like(z)
+        rows = max(1, _SIGMOID_BLOCK * len(z) // z.size)
+        e = np.empty_like(z[:rows])
+        for start in range(0, len(z), rows):
+            block = z[start:start + rows]
+            _sigmoid(block, out[start:start + rows], e[: len(block)])
+        return out
     # min(z, -z) is -|z|, but keeps the sign of a NaN z (np.minimum returns the first NaN).
-    denom = np.negative(z)
-    np.minimum(z, denom, out=denom)
-    np.exp(denom, out=denom)
-    denom += 1.0
-    out = np.minimum(z, 0.0, out=out)
-    np.exp(out, out=out)
-    out /= denom
+    e = np.negative(z, out=e)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.copysign(_ONE, z, out=out)  # z is not read again, so out may be z
+    np.maximum(out, e, out=out)
+    e += _ONE
+    out /= e
     return out
 
 
@@ -66,7 +92,13 @@ def _activate_grad_in_place(name: str, a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows_in_place(z: np.ndarray) -> None:
-    z -= z.max(axis=1, keepdims=True)
+    # Each row's max as a running maximum over the columns: exact, so bit for bit
+    # z.max(axis=1) but for the sign of a zero, which exp(z - max) does not see, and
+    # the sign and payload of a NaN, which that reduction does not keep alike either.
+    top = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(top, z[:, j], out=top)
+    z -= top[:, np.newaxis]
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
 

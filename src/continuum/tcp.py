@@ -38,10 +38,11 @@ inside `drive`, on the thread that calls it, one at a time, in arrival order,
 as on the simulated broker. A handler unsubscribed while a message is being
 dispatched does not receive it. A handler that raises ends that `drive` call
 with its exception; deliveries not yet made stay queued for the next call.
-Publishes are acknowledged, giving at-least-once delivery within the process
-lifetime; a call whose connection closes before its ack, and a `drive` on a
-connection that has ended, raise ConnectionError at once. No retained
-messages, no persistence, and no record of the envelopes carried.
+Publishes are acknowledged, and nothing is resent: each delivery arrives once,
+in msg-id order, or the call raises ConnectionError. A call whose connection
+closes before its ack, and a `drive` on a connection that has ended, raise it
+at once. No retained messages, no persistence, and no record of the envelopes
+carried.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import record
+from oracles import privacy_violations
 from continuum import federated, nn, training
 from continuum.bus import SimBroker, topic_matches
 from continuum.cli import main
@@ -402,8 +403,8 @@ def test_criterion_10_fl_trace_carries_no_raw_data(fmcw_experiment, sync_run, as
     """Every published FL envelope holds parameters and counts only."""
     _, dataset = fmcw_experiment
     _, sync_trace, _ = sync_run
-    assert federated.privacy_violations(sync_trace, dataset, sample_rows=64) == []
+    assert privacy_violations(sync_trace, dataset, sample_rows=64) == []
     _, async_trace = async_aligned_run
-    assert federated.privacy_violations(async_trace, dataset, sample_rows=64) == []
+    assert privacy_violations(async_trace, dataset, sample_rows=64) == []
     # 100 broadcasts (initial + one per non-final aggregation) + 3 updates/round
     assert len(sync_trace) == 100 + 300

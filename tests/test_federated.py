@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import record
+from oracles import privacy_violations
 from continuum import federated, nn, wire
-from continuum.bus import SimBroker
+from continuum.bus import LinkLatency, SimBroker
 from continuum.data import Part, next_round_batch, partition, synth_blobs
 from continuum.federated import ClientUpdate, FlConfig, GlobalModel, StragglerModel
 
@@ -294,6 +295,24 @@ def test_async_miss_probability_thins_contributors():
     assert 1.2 <= mean_contributors <= 2.9  # E = 2.1 for 3 clients at p = 0.3
 
 
+def test_async_client_without_a_global_misses_its_tick_and_still_draws():
+    # the first global reaches client 0 5 ms after its round-0 tick
+    latency = LinkLatency({(federated.SERVER_NODE, "fog:client-0"): 5.0})
+    config = FlConfig("async", 2, 3, (10, 5, 3), 0.1, 10, seed=1)
+    dataset = synth_blobs(400, 10, 3, 4.0, 1)
+    result = federated.run_async(config, SimBroker(latency=latency), dataset)
+    assert [m.contributors for m in result.rows] == [0, 1, 2, 2]
+
+    # the missed tick makes its draws, so round r's send waits the delay drawn r-th
+    broker = SimBroker(latency=latency)
+    trace = record(broker)
+    federated.run_async(config, broker, dataset, StragglerModel(delay_ms=(0.0, 100.0), seed=4))
+    rng = np.random.default_rng([4, 0])
+    delays = [(rng.random(), rng.uniform(0.0, 100.0))[1] for _ in range(config.rounds)]
+    assert [env.publish_time for env in trace if env.sender == "fog:client-0"] == [
+        r * config.aggregation_interval_ms + delays[r] for r in (1, 2)]
+
+
 def test_async_requires_sim_backend():
     class FakeBus:
         pass
@@ -319,12 +338,12 @@ def test_fl_traffic_is_params_and_counts_only():
     dataset = small_dataset()
     _, trace = run_sync(small_config(rounds=6), dataset)
     assert len(trace) == 6 + 6 * 3  # the initial global, 5 more, and 3 updates a round
-    assert federated.privacy_violations(trace, dataset) == []
+    assert privacy_violations(trace, dataset) == []
     _, async_trace = run_async(
         small_config(mode="async", rounds=6), dataset, StragglerModel(miss_probability=0.2)
     )
     assert any(env.topic == federated.UPDATE_TOPIC for env in async_trace)
-    assert federated.privacy_violations(async_trace, dataset) == []
+    assert privacy_violations(async_trace, dataset) == []
 
 
 def test_privacy_scan_flags_raw_rows_and_foreign_topics():
@@ -344,7 +363,7 @@ def test_privacy_scan_flags_raw_rows_and_foreign_topics():
     broker.publish("fog:client-0", federated.UPDATE_TOPIC, leak)
     broker.publish("fog:client-0", "other/topic", b"{}")
     broker.run_until_idle()
-    issues = federated.privacy_violations(trace, dataset)
+    issues = privacy_violations(trace, dataset)
     assert len(issues) == 3
     assert any("not a JSON" in i for i in issues)
     assert any("sample 0" in i for i in issues)
@@ -363,8 +382,8 @@ def test_privacy_scan_finds_a_row_inside_the_params_of_a_well_formed_update():
     traffic.publish(update.sender, federated.UPDATE_TOPIC, wire.pack(msg))
     traffic.run_until_idle()
     assert len(leaked) == 1
-    assert federated.privacy_violations(leaked) == []
-    assert federated.privacy_violations(leaked, dataset, sample_rows=240) == [
+    assert privacy_violations(leaked) == []
+    assert privacy_violations(leaked, dataset, sample_rows=240) == [
         "raw bytes of sample 4 appear in a published payload"
     ]
 
@@ -378,7 +397,7 @@ def test_privacy_scan_reports_params_that_are_not_a_float64_vector():
             {"type": "update", "client_id": 0, "base_round": 0, "params": params,
              "sample_count": 1}))
     broker.run_until_idle()
-    issues = federated.privacy_violations(trace, small_dataset())
+    issues = privacy_violations(trace, small_dataset())
     assert issues == [
         f"msg {msg_id} on fl/updates: params is not a float64 vector" for msg_id in (1, 2, 3)
     ]

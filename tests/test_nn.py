@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuum import nn
@@ -335,7 +336,9 @@ SIGMOID_SPECIALS = (math.inf, -math.inf, 0.0, -0.0, math.nan, -math.nan,
 
 
 @given(
-    shape=st.sampled_from([(8, 8), (60, 32), (256, 256), (16000, 32)]),
+    # the last three straddle _sigmoid's blocks of rows; the last has rows wider than a block
+    shape=st.sampled_from([(8, 8), (60, 32), (256, 256), (16000, 32), (2049, 33),
+                           (3, nn._SIGMOID_BLOCK + 1)]),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([1.0, 40.0, 1000.0]),
     specials=st.lists(st.sampled_from(SIGMOID_SPECIALS) | st.floats(), max_size=64),
@@ -350,6 +353,62 @@ def test_sigmoid_is_bitwise_the_masked_formula(shape, seed, scale, specials):
     assert nn._sigmoid(z).tobytes() == expected
     assert z.tobytes() == kept  # without out=, the input is left as it was
     assert nn._sigmoid(z, out=z) is z and z.tobytes() == expected
+
+
+def same_bits_up_to_nan(got: np.ndarray, expected: np.ndarray) -> bool:
+    """The same bits wherever `expected` is not NaN, and NaN wherever it is.
+
+    A NaN's sign and payload are left out because z.max(axis=1) does not keep them
+    alike. numpy 2.4 on x86-64, for one, returns a -NaN from a row's first column as
+    +NaN, and one from another column as it is in rows of up to 8 columns but as
+    +NaN in wider rows.
+    """
+    nan = np.isnan(expected)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    negative=st.booleans(),  # every finite value <= 0, so a zero can be the row max
+    specials=st.lists(st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan)),
+                      max_size=40),
+)
+@example(rows=1, cols=2, seed=0, negative=True, specials=[-0.0, 0.0])  # a +-0 tie for the max
+@example(rows=3, cols=1, seed=0, negative=False, specials=[math.nan, -math.inf])
+@settings(max_examples=80, deadline=None)
+def test_softmax_rows_are_bitwise_shift_by_the_row_max_exp_and_divide(
+    rows, cols, seed, negative, specials
+):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=30.0, size=(rows, cols))
+    if negative:
+        z = -np.abs(z)
+    flat = z.reshape(-1)
+    specials = specials[: flat.size]
+    flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
+    with np.errstate(all="ignore"):
+        shifted = np.exp(z - z.max(axis=1, keepdims=True))
+        expected = shifted / shifted.sum(axis=1, keepdims=True)
+        nn._softmax_rows_in_place(z)
+    assert same_bits_up_to_nan(z, expected)
+
+
+def test_evaluate_allocates_its_matmul_outputs_and_at_most_one_sigmoid_block():
+    rows, sizes = 20000, (16, 64, 4)
+    rng = np.random.default_rng(0)
+    model = nn.init_model(sizes, "sigmoid", seed=1)
+    features = rng.normal(size=(rows, sizes[0]))
+    labels = rng.integers(0, sizes[-1], size=rows)
+    matmul_outputs = rows * (sizes[1] + sizes[2]) * 8
+    tracemalloc.start()
+    try:
+        nn.evaluate(model, features, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - matmul_outputs < nn._SIGMOID_BLOCK * 8 + 2**20
 
 
 def oracle_trace(model: nn.MlpModel, features: np.ndarray) -> list[np.ndarray]:
