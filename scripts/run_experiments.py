@@ -6,10 +6,17 @@ Writes results to out/<experiment>/ in the current directory:
   - forestfire_synth:  coordinator/worker training (epochs.csv)
   - fmcw_synth:        synchronous federated learning (fl_rounds.csv)
   - fmcw_synth_async:  asynchronous federated learning with stragglers
+
+After each replay check it prints each output's SHA-256 and path from the run's
+manifest, as `sha256sum` does. The commands' own messages, which carry wall
+times, go to stderr, so two checkouts whose outputs are byte-identical print
+the same stdout, and `diff` of the two compares every output.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import sys
 from pathlib import Path
 
@@ -29,13 +36,16 @@ def main() -> int:
     for command, name in EXPERIMENTS:
         config = ROOT / "configs" / f"{name}.json"
         out = Path("out") / name
-        print(f"== {command} {config.name} -> {out}")
-        code = continuum([command, str(config), "--out", str(out)])
+        print(f"== {command} {config.name} -> {out}", flush=True)
+        with contextlib.redirect_stdout(sys.stderr):
+            code = continuum([command, str(config), "--out", str(out)])
+            if code == 0:
+                code = continuum(["replay-check", str(out / "manifest.json")])
         if code != 0:
             return code
-        code = continuum(["replay-check", str(out / "manifest.json")])
-        if code != 0:
-            return code
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        for entry in manifest["outputs"]:
+            print(f"{entry['sha256']}  {out / entry['path']}", flush=True)
     return 0
 
 

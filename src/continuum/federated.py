@@ -2,11 +2,11 @@
 
 Clients train on streaming fixed-size batches of their own partition and ship
 serialized parameters only; the server aggregates sample-weighted averages.
-Sync mode waits for every client each round; async mode aggregates on a fixed
-virtual-time interval, tolerating missed or delayed updates up to a staleness
-bound. Both modes close a round with the same aggregation step, and neither
-broadcasts after the last round. With no straggling the two modes produce
-identical numbers.
+Sync mode waits for one update from every client each round, based on that
+round; async mode aggregates on a fixed virtual-time interval, tolerating
+missed or delayed updates up to a staleness bound. Both modes close a round
+with the same aggregation step, and neither broadcasts after the last round.
+With no straggling the two modes produce identical numbers.
 """
 
 from __future__ import annotations
@@ -259,9 +259,13 @@ class _Server:
                            f"{update.base_round!r}, not an int in [0, {self.round_index}]")
         if mismatch := nn.vector_mismatch(update.params, self.params.shape[0]):
             raise rejected(env.sender, "update", "client", client_id, f"params {mismatch}")
-        previous = self.pending.get(client_id)
+        self.accept(env.sender, update)
+
+    def accept(self, sender: str, update: ClientUpdate) -> None:
+        """Keep a checked update: async keeps the freshest basis per client."""
+        previous = self.pending.get(update.client_id)
         if previous is None or update.base_round >= previous.base_round:
-            self.pending[client_id] = update  # keep the freshest basis per client
+            self.pending[update.client_id] = update
 
     def aggregate(self) -> None:
         """Close a round: average the fresh-enough updates, record, broadcast unless done."""
@@ -287,8 +291,15 @@ class _Server:
 
 
 class _SyncServer(_Server):
-    def on_update(self, env: Envelope) -> None:
-        super().on_update(env)
+    def accept(self, sender: str, update: ClientUpdate) -> None:
+        """Keep one update per client, based on the round in progress; close a full round."""
+        k, r = update.client_id, self.round_index
+        if update.base_round != r:
+            raise rejected(sender, "update", "client", k, f"base_round {update.base_round} "
+                           f"during round {r}")
+        if k in self.pending:
+            raise RuntimeError(f"{sender}: second update of client {k} in round {r}")
+        self.pending[k] = update
         if len(self.pending) == self.config.num_clients:
             self.aggregate()
 

@@ -244,18 +244,21 @@ class _StageRuntime:
         self.stride = len(instance.spec.stages)
         self.clock = instance.broker.clock
         self.cold_starts = spec.kind == "serverless_function" and spec.cold_start_ms > 0
-        self.queue: deque[tuple[int, bytes]] = deque()
+        self.queue: deque[int] = deque()  # item ids
         self.busy = 0
         self.last_service_end: float | None = None
 
     def on_message(self, env) -> None:
         instance = self.instance
-        item_id = instance.item_ids.get(env.payload)
-        if item_id is None:
-            raise RuntimeError(
-                f"stage {self.spec.name!r} received a payload that is not one of this run's "
-                f"items on topic {env.topic!r} from {env.sender!r}"
-            )
+        item_id = instance.item_ids.pop(env.payload, None)
+        if item_id is None:  # a copy from outside the run: served only if its item is in flight
+            try:
+                item_id = instance.payloads.index(env.payload)
+            except ValueError:
+                raise RuntimeError(
+                    f"stage {self.spec.name!r} received a payload that is not one of this run's "
+                    f"items on topic {env.topic!r} from {env.sender!r}"
+                ) from None
         slot = item_id * self.stride + self.index
         if not math.isnan(instance.enqueue_ms[slot]):
             raise RuntimeError(
@@ -263,13 +266,13 @@ class _StageRuntime:
                 f"on topic {env.topic!r} from {env.sender!r}"
             )
         instance.enqueue_ms[slot] = self.clock.now
-        self.queue.append((item_id, env.payload))
+        self.queue.append(item_id)
         self._try_start()
 
     def _try_start(self) -> None:
         clock = self.clock
         while self.busy < self.spec.servers and self.queue:
-            item_id, payload = self.queue.popleft()
+            item_id = self.queue.popleft()
             self.busy += 1
             start = clock.now
             duration = self.spec.service.draw(self.instance.units)
@@ -285,9 +288,9 @@ class _StageRuntime:
             if not end < math.inf:
                 raise RuntimeError(f"stage {self.spec.name!r}: a service of {duration} ms "
                                    f"starting at {start} ms ends past the largest finite time")
-            clock.call_at(end, self._finish, item_id, payload, start)
+            clock.call_at(end, self._finish, item_id, start)
 
-    def _finish(self, item_id: int, payload: bytes, start_ms: float) -> None:
+    def _finish(self, item_id: int, start_ms: float) -> None:
         instance = self.instance
         end = self.clock.now
         self.busy -= 1
@@ -296,9 +299,11 @@ class _StageRuntime:
         instance.start_ms[slot] = start_ms
         instance.end_ms[slot] = end
         if self.spec.output_topic is not None:
+            payload = instance.payloads[item_id]
+            instance.item_ids[payload] = item_id
             instance.broker.publish(self.spec.node, self.spec.output_topic, payload)
-        else:  # the item is complete, and the map holds items in flight only
-            del instance.item_ids[payload]
+        else:  # the item is complete
+            instance.payloads[item_id] = None
         self._try_start()
 
 
@@ -306,16 +311,27 @@ class PipelineInstance:
     """A pipeline wired onto a broker: one subscription and one queue per stage.
 
     For the length of a run, `run_pipeline` sets the service times' `units`
-    (`unit_doubles` of the seeded generator), maps the payload it packs for
-    each item in flight to its item id, so a stage reads the id without
-    decoding the payload, and sizes three NaN-filled columns to one slot per
-    item and stage: stage s files item i's enqueue, start and end times at
-    slot `i * len(stages) + s`, so the columns are in stages.csv row order and
-    an item's last slot holds its completion. A set enqueue slot marks an item
-    the stage has already received.
+    (`unit_doubles` of the seeded generator) and sizes three NaN-filled columns
+    to one slot per item and stage: stage s files item i's enqueue, start and
+    end times at slot `i * len(stages) + s`, so the columns are in stages.csv
+    row order and an item's last slot holds its completion. A set enqueue slot
+    marks an item the stage has already received.
+
+    Each piece of an item's state has one holder. `payloads[i]` holds the
+    payload packed for item i from its arrival until the terminal stage
+    finishes it. `item_ids` maps each payload published and not yet delivered
+    to its item id: the receiving stage pops it, so it reads the id without
+    decoding the payload, and a stage puts it back just before it publishes
+    onward; as each published topic reaches one stage, the map holds no more
+    entries than there are messages on the bus. Stage queues hold item ids. A
+    payload with no entry is a copy from outside the run: it is looked up
+    among the items in flight (a scan, on this path only), so a copy of an
+    item in flight is served, or refused as a second receipt, as the enqueue
+    slot says, and any other is not one of the run's items.
     """
 
     units: Iterator[float]
+    payloads: list[bytes | None]
     item_ids: dict[bytes, int]
     enqueue_ms: array
     start_ms: array
@@ -352,13 +368,14 @@ def run_pipeline(
     blank = array("d", [math.nan]) * (len(times) * stride)
     instance.enqueue_ms, instance.start_ms, instance.end_ms = blank, blank[:], blank[:]
     instance.units = unit_doubles(np.random.default_rng(seed))
+    instance.payloads = [None] * len(times)
     instance.item_ids = {}
     topic, first = instance.spec.source_topic, clock.reserve(len(times))
 
     def arrive(item_id: int) -> None:
         if item_id + 1 < len(times):
             clock.push(times[item_id + 1], first + item_id + 1, arrive, item_id + 1)
-        payload = wire.pack({"item_id": item_id})
+        payload = instance.payloads[item_id] = wire.pack({"item_id": item_id})
         instance.item_ids[payload] = item_id
         broker.publish(SOURCE_NODE, topic, payload)
 
@@ -369,7 +386,8 @@ def run_pipeline(
     records = StageRecords(tuple(s.name for s in instance.spec.stages),
                            instance.enqueue_ms, instance.start_ms, instance.end_ms)
     # the columns now belong to the returned views; the instance keeps no per-item state
-    del instance.item_ids, instance.enqueue_ms, instance.start_ms, instance.end_ms
+    del instance.payloads, instance.item_ids
+    del instance.enqueue_ms, instance.start_ms, instance.end_ms
     return ItemTraces(times, completion), records
 
 

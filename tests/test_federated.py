@@ -470,6 +470,65 @@ def test_server_rejects_a_stray_update_naming_its_sender(
         run(config, broker, small_dataset())
 
 
+class GlobalDuplicatingBroker(SimBroker):
+    """Delivers the global model of one round twice, as an at-least-once bus may."""
+
+    def __init__(self, round_index: int):
+        super().__init__()
+        self.round_index = round_index
+
+    def publish(self, sender, topic, payload):
+        msg_id = super().publish(sender, topic, payload)
+        if topic == federated.GLOBAL_TOPIC and wire.unpack(payload)["round"] == self.round_index:
+            super().publish(sender, topic, payload)
+        return msg_id
+
+
+@pytest.mark.parametrize("round_index", [0, 1, 2])
+def test_sync_server_rejects_the_second_answers_to_a_duplicated_global(round_index):
+    # each client answers both copies; the first answers close the round, and the
+    # second ones are based on the round before the one in progress
+    broker = GlobalDuplicatingBroker(round_index)
+    with pytest.raises(RuntimeError, match=rf"^fog:client-0: update of client 0 has base_round "
+                                           rf"{round_index} during round {round_index + 1}$"):
+        federated.run_sync(small_config(rounds=4, clients=2), broker, small_dataset())
+
+
+def test_sync_server_rejects_a_second_update_of_a_client_in_one_round():
+    stray = federated._update_payload(ClientUpdate(0, 0, PARAMS, 10))  # well formed
+    broker = StrayUpdateBroker("fog:client-0", stray)  # ahead of client 0's own update
+    with pytest.raises(RuntimeError, match=r"^fog:client-0: second update of client 0 in round 0$"):
+        federated.run_sync(small_config(rounds=3), broker, small_dataset())
+
+
+@pytest.mark.parametrize("base_rounds", [(1, 0), (0, 1)], ids=["older-last", "older-first"])
+def test_async_server_keeps_each_clients_freshest_basis(base_rounds):
+    _, test = federated.split_train_test(small_dataset())
+    broker = SimBroker()
+    server = federated._Server(small_config("async", rounds=3), broker, test)
+    server.aggregate()  # an empty interval: round 1 is in progress, so basis 0 is fresh enough
+    for base_round in base_rounds:
+        update = ClientUpdate(0, base_round, np.full(PARAMS.shape, float(base_round)), 10)
+        broker.publish("fog:client-0", federated.UPDATE_TOPIC, federated._update_payload(update))
+    broker.run_until_idle()
+    server.aggregate()
+    assert server.contributors == 1
+    assert np.array_equal(server.params, np.full(PARAMS.shape, 1.0))
+
+
+def test_client_keeps_the_latest_global_when_an_older_one_arrives_after_it():
+    config = small_config("async", rounds=5)
+    train, _ = federated.split_train_test(small_dataset())
+    broker = SimBroker()
+    client = federated._Client(0, config, broker, partition(train, config.num_clients, 0)[0])
+    for round_index in (3, 1):
+        broker.publish(federated.SERVER_NODE, federated.GLOBAL_TOPIC,
+                       federated._global_payload(round_index, np.full(3, float(round_index))))
+    broker.run_until_idle()
+    assert client.latest.round_index == 3
+    assert np.array_equal(client.latest.params, np.full(3, 3.0))
+
+
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_clients_reject_a_global_model_the_server_did_not_send(mode):
     stray = federated._global_payload(5, np.zeros(3))  # a later round than any real one

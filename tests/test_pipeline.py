@@ -291,6 +291,75 @@ def test_foreign_payload_at_a_stage_fails_naming_stage_topic_and_sender(payload,
         run_pipeline(instance, ArrivalSchedule(count=3, interval_ms=100.0))
 
 
+def test_copy_delivered_while_its_items_own_message_is_on_the_bus_is_served_first():
+    # item 0 leaves s0 at 100 ms, and its own message takes 50 ms to reach s1; a copy
+    # delivered at 120 ms is served as item 0, so the item's own delivery is the second
+    latency = LinkLatency(pairs={("fog:n0", "fog:n1"): 50.0})
+    broker = SimBroker(latency=latency)
+    instance = build_pipeline(chain_spec([100.0, 100.0]), broker)
+    broker.call_at(120.0, lambda: broker.publish("edge:intruder", "chain/1",
+                                                 wire.pack({"item_id": 0})))
+    with pytest.raises(
+        RuntimeError, match=r"^stage 's1' received item 0 a second time on topic 'chain/1' "
+                            r"from 'fog:n0'$"
+    ):
+        run_pipeline(instance, ArrivalSchedule(count=3, interval_ms=100.0))
+
+
+class MapWatchingBroker(SimBroker):
+    """Checks, at each publish and delivery, that the run's payload map holds no more
+    entries than there are messages on the bus."""
+
+    instance = None
+    on_bus = 0
+    most = 0
+
+    def publish(self, sender, topic, payload):
+        msg_id = super().publish(sender, topic, payload)
+        self.on_bus += 1  # each chain topic reaches one stage
+        self.check()
+        return msg_id
+
+    def _deliver(self, sub_id, env):
+        self.check()
+        self.on_bus -= 1
+        super()._deliver(sub_id, env)
+
+    def check(self):
+        entries = len(self.instance.item_ids)
+        assert entries <= self.on_bus, f"{entries} map entries, {self.on_bus} messages on the bus"
+        self.most = max(self.most, entries)
+
+
+def test_payload_map_holds_only_the_messages_on_the_bus():
+    # s1 serves one item per 200 ms while items arrive every 100 ms: the queue at s1
+    # grows to about half the items, while the bus carries one or two messages
+    broker = MapWatchingBroker()
+    broker.instance = build_pipeline(chain_spec([10.0, 200.0]), broker)
+    _, records = run_pipeline(broker.instance, ArrivalSchedule(count=400, interval_ms=100.0))
+    assert max(r.start_ms - r.enqueue_ms for r in records if r.stage == "s1") > 19_000.0
+    assert broker.most == 1
+    assert broker.on_bus == 0
+
+
+def test_a_queued_item_costs_a_fixed_few_bytes():
+    # a 10 ms stage feeds a 200 ms one every 100 ms, so half the items added wait at s1
+    # at the peak: what grows per item is its columns, its payload and its queue slot
+    def peak_bytes(count: int) -> int:
+        instance = build_pipeline(chain_spec([10.0, 200.0]), SimBroker())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_pipeline(instance, ArrivalSchedule(count=count, interval_ms=100.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100)  # warm-up: first-call allocations are not per item
+    growth = peak_bytes(8000) - peak_bytes(4000)
+    assert growth < 136 * 4000, f"{growth / 4000:.0f} B per added item"
+
+
 def test_records_cost_a_fixed_few_bytes_per_item_stage():
     # five 10 ms stages fed every 100 ms: nothing queues, so what grows with the item
     # count is what the run keeps per item and stage

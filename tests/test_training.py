@@ -250,52 +250,55 @@ def test_stall_names_the_workers_that_did_not_report():
 
 
 @pytest.mark.parametrize(
-    "sender, worker_id, sample_count, copies, picked, correct, cause",
+    "sender, worker_id, sample_count, copies, picked, correct, epoch, cause",
     [
-        ("fog:rogue", 7, 0, 1, [0.5] * 60, 0, r"^fog:rogue: gradient names unknown worker_id 7$"),
-        ("fog:worker-1", True, 40, 1, [0.5] * 60, 0,
+        ("fog:rogue", 7, 0, 1, [0.5] * 60, 0, 1,
+         r"^fog:rogue: gradient names unknown worker_id 7$"),
+        ("fog:worker-1", True, 40, 1, [0.5] * 60, 0, 1,
          r"^fog:worker-1: gradient names unknown worker_id True$"),
-        ("fog:worker-0", 0, 40, 2, [0.5] * 60, 0,
+        ("fog:worker-0", 0, 40, 2, [0.5] * 60, 0, 1,
          r"^fog:worker-0: second gradient for worker 0 in epoch 1$"),
-        ("fog:worker-0", 0, 0, 1, [0.5] * 60, 0,
+        ("fog:worker-0", 0, 0, 1, [0.5] * 60, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has sample_count 0 < 1$"),
-        ("fog:worker-0", 0, "x", 1, [0.5] * 60, 0,
+        ("fog:worker-0", 0, "x", 1, [0.5] * 60, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has sample_count 'x', not an int$"),
-        ("fog:worker-0", 0, 1.5, 1, [0.5] * 60, 0,
+        ("fog:worker-0", 0, 1.5, 1, [0.5] * 60, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has sample_count 1\.5, not an int$"),
-        ("fog:worker-0", 0, True, 1, [0.5] * 60, 0,
+        ("fog:worker-0", 0, True, 1, [0.5] * 60, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has sample_count True, not an int$"),
-        ("fog:rogue", 0, 40, 1, [0.5] * 60, 0,
+        ("fog:rogue", 0, 40, 1, [0.5] * 60, 0, 1,
          r"^fog:rogue: gradient names worker 0, which only fog:worker-0 may send$"),
-        ("fog:worker-0", 0, 40, 1, [0.5] * 59, 0,
+        ("fog:worker-0", 0, 40, 1, [0.5] * 59, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has 59 picked probabilities "
          r"for a shard of 60 rows$"),
-        ("fog:worker-0", 0, 40, 1, [[0.5]] * 60, 0,
+        ("fog:worker-0", 0, 40, 1, [[0.5]] * 60, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has a 2-d array of picked probabilities "
          r"for a shard of 60 rows$"),
-        ("fog:worker-0", 0, 40, 1, [0.5] * 59 + [np.nan], 0,
+        ("fog:worker-0", 0, 40, 1, [0.5] * 59 + [np.nan], 0, 1,
          r"^fog:worker-0: gradient of worker 0 has a picked probability outside \[0, 1\]$"),
-        ("fog:worker-0", 0, 40, 1, [1.5] + [0.5] * 59, 0,
+        ("fog:worker-0", 0, 40, 1, [1.5] + [0.5] * 59, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has a picked probability outside \[0, 1\]$"),
-        ("fog:worker-0", 0, 40, 1, [-0.5] + [0.5] * 59, 0,
+        ("fog:worker-0", 0, 40, 1, [-0.5] + [0.5] * 59, 0, 1,
          r"^fog:worker-0: gradient of worker 0 has a picked probability outside \[0, 1\]$"),
-        ("fog:worker-0", 0, 40, 1, [0.5] * 60, 61,
+        ("fog:worker-0", 0, 40, 1, [0.5] * 60, 61, 1,
          r"^fog:worker-0: gradient of worker 0 has correct 61, not an int in \[0, 60\]$"),
-        ("fog:worker-0", 0, 40, 1, [0.5] * 60, 1.0,
+        ("fog:worker-0", 0, 40, 1, [0.5] * 60, 1.0, 1,
          r"^fog:worker-0: gradient of worker 0 has correct 1\.0, not an int in \[0, 60\]$"),
+        ("fog:worker-0", 0, 40, 1, [0.5] * 60, 0, 2,
+         r"^fog:worker-0: gradient for epoch 2 arrived during epoch 1$"),
     ],
     ids=["unknown-worker", "bool-worker", "duplicate", "zero-samples", "string-samples",
          "fractional-samples", "bool-samples", "impostor", "short-picked",
          "2-d-picked", "picked-nan", "picked-above-one", "picked-negative", "correct-above-shard-rows",
-         "correct-not-int"],
+         "correct-not-int", "later-epoch"],
 )
 def test_coordinator_rejects_a_stray_gradient_naming_its_sender(
-    monkeypatch, sender, worker_id, sample_count, copies, picked, correct, cause
+    monkeypatch, sender, worker_id, sample_count, copies, picked, correct, epoch, cause
 ):
     monkeypatch.setattr(nn, "batch_invariant", lambda *args: True)  # so terms are read
     job = make_job(2, epochs=2)  # 120 samples: each worker's shard has 60 rows
     size = len(nn.serialize_params(nn.init_model(job.layer_sizes, job.hidden_activation, 0)))
-    stray = wire.pack({"worker_id": worker_id, "epoch": 1, "sample_count": sample_count,
+    stray = wire.pack({"worker_id": worker_id, "epoch": epoch, "sample_count": sample_count,
                        "grads": np.zeros(size), "picked": np.array(picked),
                        "correct": correct})
     broker = SimBroker()
